@@ -4,9 +4,9 @@
 // Usage:
 //
 //	laserbench [-exp all|fig3|tab1|tab2|fig9|fig10|fig11|fig12|fig13|fig14]
-//	           [-ascale N] [-pscale N] [-runs N] [-intra N] [-segjit]
+//	           [-ascale N] [-pscale N] [-runs N] [-intra N]
 //	           [-speculative-repair=true|false]
-//	           [-cache DIR] [-shard I/N] [-shard-partition cost|hash]
+//	           [-cache DIR] [-shard I/N]
 //	           [-cache-gc AGE] [-cache-gc-bytes N]
 //	           [-fault-plan SPEC] [-unit-retries N]
 //	           [-unit-deadline-floor D] [-unit-backoff D]
@@ -19,23 +19,17 @@
 // (1 = fully serial). When a phase has fewer runnable simulations than
 // host workers, the leftovers move inside each simulated machine via
 // the intra-run parallel engine; -intra (or LASER_BENCH_INTRA)
-// overrides the split. -segjit (or LASER_BENCH_SEGJIT) additionally
-// compiles provably-private instruction segments inside each simulated
-// machine (the segment JIT); an explicit flag wins over the
-// environment. The rendered output is byte-identical at any
-// parallelism and with the segment compiler on or off — only wall time
-// changes.
+// overrides the split. The rendered output is byte-identical at any
+// parallelism, on either axis — only wall time changes.
 //
 // -cache DIR attaches a persistent run cache: every simulation result
 // is content-addressed by (workload, scale, variant, tool, SAV, seed,
 // config fingerprint, code version) and persisted, so re-runs only
 // simulate misses. -shard I/N (0 ≤ I < N, requires -cache) runs the
 // shard warming mode instead of rendering: the selected experiments'
-// work units are partitioned deterministically and only slice I is
-// simulated into the cache. -shard-partition picks the partition:
-// "cost" (default) balances the units' estimated simulation cost across
-// shards so their wall times track each other; "hash" is the historical
-// cache-key-hash split. Run N shards (concurrently, e.g. as a CI matrix
+// work units are partitioned deterministically, balancing their
+// estimated simulation cost so shard wall times track each other, and
+// only slice I is simulated into the cache. Run N shards (concurrently, e.g. as a CI matrix
 // sharing the cache directory or merging cache artifacts), then render
 // with a plain `laserbench -cache DIR` — it assembles the figures from
 // cache hits alone, byte-identical to an un-sharded run, and the final
@@ -93,14 +87,12 @@ func main() {
 	runs := flag.Int("runs", 3, "runs per performance data point")
 	specRepair := flag.Bool("speculative-repair", true, "race repair candidates in bounded forked trials before installing (Figure 11 automatic rows)")
 	intra := flag.Int("intra", 0, "intra-run engine workers per simulation (0 = automatic split)")
-	segjit := flag.Bool("segjit", false, "compile provably-private instruction segments inside each simulation (default $LASER_BENCH_SEGJIT)")
 	faultPlan := flag.String("fault-plan", "", "deterministic fault-injection plan (default $LASER_FAULT_PLAN; see internal/faultinject)")
 	unitRetries := flag.Int("unit-retries", 0, "attempts per failing work unit before quarantine (0 = default 3)")
 	unitDeadlineFloor := flag.Duration("unit-deadline-floor", 0, "minimum per-unit deadline (0 = default 30s)")
 	unitBackoff := flag.Duration("unit-backoff", 0, "backoff before the first unit retry, doubling per attempt (0 = default 100ms)")
 	cacheDir := flag.String("cache", "", "persistent run-cache directory")
 	shardSpec := flag.String("shard", "", "warm shard I/N of the selected experiments into -cache, without rendering")
-	shardPartition := flag.String("shard-partition", "cost", "shard partition mode: cost (balance estimated simulation cost) or hash (by cache key)")
 	gcAge := flag.Duration("cache-gc", 0, "evict cache entries not accessed for this long after the run (requires -cache; 0 disables)")
 	gcBytes := flag.Int64("cache-gc-bytes", 0, "then evict least-recently-used entries until the cache fits this many bytes (0 disables)")
 	jsonPath := flag.String("json", "", "write machine-readable results to this file")
@@ -129,14 +121,6 @@ func main() {
 	if *intra > 0 {
 		os.Setenv("LASER_BENCH_INTRA", fmt.Sprint(*intra))
 	}
-	// An explicit -segjit (either value) overrides LASER_BENCH_SEGJIT;
-	// when the flag is absent the environment decides, so CI can force
-	// the toggle without editing command lines.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "segjit" {
-			os.Setenv("LASER_BENCH_SEGJIT", fmt.Sprint(*segjit))
-		}
-	})
 	planSpec := *faultPlan
 	if planSpec == "" {
 		planSpec = os.Getenv("LASER_FAULT_PLAN")
@@ -217,8 +201,7 @@ func main() {
 		if !ok || err1 != nil || err2 != nil || n < 1 || shard < 0 || shard >= n {
 			fail(fmt.Errorf("invalid -shard %q: want I/N with 0 <= I < N", *shardSpec))
 		}
-		mode := experiments.PartitionMode(*shardPartition)
-		owned, total, sum, err := experiments.RunShard(cfg, wantFn, shard, n, mode, runOpts, os.Stderr)
+		owned, total, sum, err := experiments.RunShard(cfg, wantFn, shard, n, runOpts, os.Stderr)
 		if err != nil {
 			fail(err)
 		}
@@ -263,15 +246,6 @@ func main() {
 		}
 		if err := bench.MeasureIntraRun([]string{"histogram", "swaptions", "histogram'"},
 			*ascale, workers); err != nil {
-			fail(err)
-		}
-		// The segment-compiler microbenchmark: interpreted vs compiled
-		// ns/instr on a register-heavy workload (swaptions, the compiler's
-		// home turf) and a contended one (histogram, mostly fallback).
-		// Serial workers — the serial scheduler is where the compiled
-		// swaptions speedup is guarded in CI.
-		if err := bench.MeasureSegJIT([]string{"swaptions", "histogram"},
-			*ascale, 1); err != nil {
 			fail(err)
 		}
 		if err := bench.WriteFile(*jsonPath); err != nil {

@@ -18,8 +18,9 @@
 // configure it, Step/RunFor/Run/Wait drive it (context-aware), Snapshot
 // reports at any moment, Events streams typed monitoring events, and
 // detection runs multiple detect→repair epochs by remapping
-// post-rewrite PCs back to the original program. laser.Run and friends
-// remain as one-shot convenience wrappers over a pinned session.
+// post-rewrite PCs back to the original program. The paper's one-shot
+// pass is a pinned session: WithMaxEpochs(1) plus
+// WithPostRepairMonitoring(false).
 //
 // Start with package laser, DESIGN.md (system inventory and the Session
 // architecture) and EXPERIMENTS.md (paper-versus-measured results). The
@@ -48,16 +49,8 @@
 // thread-private allocations — and retires every globally-visible event
 // serially in the exact serial-schedule order, so results are
 // byte-identical to the serial engine at any worker count. See
-// DESIGN.md, "The two execution engines".
-//
-// On top of either engine, the segment compiler (machine.Config.SegmentJIT,
-// laser.WithSegmentJIT) translates maximal provably-private instruction
-// segments into straight-line Go closures with pre-decoded operands and
-// inlined load/store fast paths, falling back to the interpreter at
-// every globally-visible boundary and invalidating wholesale on program
-// hot-swap — again with byte-identical results, with coverage reported
-// in machine.Stats.CompiledInstrs. See DESIGN.md, "The segment
-// compiler".
+// DESIGN.md, "The two execution engines"; "Why there is no JIT" there
+// records why these two engines are the only ones.
 //
 // The experiment harness in internal/experiments is a registry of
 // declarative experiment specs: each figure enumerates its cacheable

@@ -27,8 +27,8 @@ func main() {
 		native.Seconds()*1e3, native.HITMs())
 
 	// Then: the same program under a LASER session. The heap bias is the
-	// attach-time perturbation laser.Run applies; events stream while the
-	// monitor works.
+	// attach-time perturbation of running under the LASER harness; events
+	// stream while the monitor works.
 	img := w.Build(workload.Options{HeapBias: laser.AttachBias})
 	s, err := laser.Attach(img)
 	if err != nil {

@@ -74,8 +74,8 @@ func TestColdWarmByteIdentical(t *testing.T) {
 	}
 }
 
-// TestShardMergeEquivalence pins the sharded workflow for both
-// partition modes: the work-unit enumeration partitions cleanly, two
+// TestShardMergeEquivalence pins the sharded workflow: the
+// cost-balanced work-unit partition is exact, two
 // shard passes (fresh in-memory layers, shared directory — separate
 // processes in CI) warm disjoint slices, and the assembling run renders
 // byte-identically to an unsharded evaluation while simulating zero
@@ -87,74 +87,71 @@ func TestShardMergeEquivalence(t *testing.T) {
 		t.Skip("multi-pass evaluation; skipped in the reduced-scale race run")
 	}
 	t.Cleanup(resetCache)
-	cfg := cacheTestConfig()
+	// The subtest names the partition the shards use: the cost-balanced
+	// LPT partition, the only one RunShard has.
+	t.Run("cost", func(t *testing.T) {
+		cfg := cacheTestConfig()
 
-	// Unsharded reference, memory-only.
-	resetCache()
-	ref3, ref11, ref13 := captureFigures(t, cfg)
+		// Unsharded reference, memory-only.
+		resetCache()
+		ref3, ref11, ref13 := captureFigures(t, cfg)
 
-	for _, mode := range []PartitionMode{PartitionCost, PartitionHash} {
-		t.Run(string(mode), func(t *testing.T) {
-			dir := t.TempDir()
-			// Two shard passes over a shared directory.
-			const n = 2
-			ownedTotal := 0
-			var total int
-			for shard := 0; shard < n; shard++ {
-				resetCache()
-				if err := SetCacheDir(dir); err != nil {
-					t.Fatal(err)
-				}
-				owned, tot, sum, err := RunShard(cfg, wantCacheTestExps, shard, n, mode, RunOptions{}, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sum.Empty() {
-					t.Fatalf("shard %d reported failures on a healthy run: %s", shard, sum)
-				}
-				if owned == 0 {
-					t.Errorf("shard %d owns no work units", shard)
-				}
-				ownedTotal += owned
-				total = tot
-			}
-			if ownedTotal != total {
-				t.Errorf("shards own %d units, enumeration has %d — partition is not exact", ownedTotal, total)
-			}
-
-			// The merge step: assemble the figures from the warmed cache.
+		dir := t.TempDir()
+		// Two shard passes over a shared directory.
+		const n = 2
+		ownedTotal := 0
+		var total int
+		for shard := 0; shard < n; shard++ {
 			resetCache()
 			if err := SetCacheDir(dir); err != nil {
 				t.Fatal(err)
 			}
-			got3, got11, got13 := captureFigures(t, cfg)
-			if st := CacheStats(); st.Computes != 0 {
-				t.Errorf("merge run simulated %d workloads, want 0 — spec enumeration drifted from the runners (stats %+v)",
-					st.Computes, st)
+			owned, tot, sum, err := RunShard(cfg, wantCacheTestExps, shard, n, RunOptions{}, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if got3 != ref3 {
-				t.Errorf("Figure 3 differs sharded vs unsharded:\n%s\nvs\n%s", ref3, got3)
+			if !sum.Empty() {
+				t.Fatalf("shard %d reported failures on a healthy run: %s", shard, sum)
 			}
-			if got11 != ref11 {
-				t.Errorf("Figure 11 differs sharded vs unsharded:\n%s\nvs\n%s", ref11, got11)
+			if owned == 0 {
+				t.Errorf("shard %d owns no work units", shard)
 			}
-			if got13 != ref13 {
-				t.Errorf("Figure 13 differs sharded vs unsharded:\n%s\nvs\n%s", ref13, got13)
-			}
-		})
-	}
+			ownedTotal += owned
+			total = tot
+		}
+		if ownedTotal != total {
+			t.Errorf("shards own %d units, enumeration has %d — partition is not exact", ownedTotal, total)
+		}
+
+		// The merge step: assemble the figures from the warmed cache.
+		resetCache()
+		if err := SetCacheDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		got3, got11, got13 := captureFigures(t, cfg)
+		if st := CacheStats(); st.Computes != 0 {
+			t.Errorf("merge run simulated %d workloads, want 0 — spec enumeration drifted from the runners (stats %+v)",
+				st.Computes, st)
+		}
+		if got3 != ref3 {
+			t.Errorf("Figure 3 differs sharded vs unsharded:\n%s\nvs\n%s", ref3, got3)
+		}
+		if got11 != ref11 {
+			t.Errorf("Figure 11 differs sharded vs unsharded:\n%s\nvs\n%s", ref11, got11)
+		}
+		if got13 != ref13 {
+			t.Errorf("Figure 13 differs sharded vs unsharded:\n%s\nvs\n%s", ref13, got13)
+		}
+	})
 }
 
 // TestShardRejectsBadSpec pins RunShard's input validation.
 func TestShardRejectsBadSpec(t *testing.T) {
 	cfg := cacheTestConfig()
 	for _, tc := range []struct{ shard, n int }{{-1, 2}, {2, 2}, {0, 0}} {
-		if _, _, _, err := RunShard(cfg, wantCacheTestExps, tc.shard, tc.n, PartitionCost, RunOptions{}, nil); err == nil {
+		if _, _, _, err := RunShard(cfg, wantCacheTestExps, tc.shard, tc.n, RunOptions{}, nil); err == nil {
 			t.Errorf("RunShard(%d, %d) accepted an invalid spec", tc.shard, tc.n)
 		}
-	}
-	if _, _, _, err := RunShard(cfg, wantCacheTestExps, 0, 2, "fastest", RunOptions{}, nil); err == nil {
-		t.Error("RunShard accepted an unknown partition mode")
 	}
 }
 

@@ -315,11 +315,6 @@ func Run(cfg Config, want func(exp string) bool, opt RunOptions) ([]SpecResult, 
 		intra := intraRunWorkers(len(phase))
 		fails := make([]*UnitFailure, len(phase))
 		retries := make([]*UnitRetry, len(phase))
-		// Specs run serially, so sampling the process-wide coverage
-		// accumulators around this spec's compute phase attributes every
-		// simulated instruction to the first spec that simulates its unit
-		// (later specs hit the cache and simulate nothing).
-		cc0, ct0 := coverageCounters()
 		forEach(len(phase), func(i int) error {
 			fails[i], retries[i] = x.runUnit(spec.Name, phase[i], intra)
 			return nil
@@ -366,16 +361,6 @@ func Run(cfg Config, want func(exp string) bool, opt RunOptions) ([]SpecResult, 
 		} else {
 			res.Rendered = rendered
 		}
-		// Only annotate the metric when the compiler is enabled: with it
-		// off the value is identically zero, and a direct spec.Assemble
-		// (no executor) must render the same document the executor does.
-		if cc1, ct1 := coverageCounters(); segJIT() && ct1 > ct0 {
-			if res.Rendered.Metrics == nil {
-				res.Rendered.Metrics = map[string]float64{}
-			}
-			res.Rendered.Metrics["compiled_instr_pct"] =
-				100 * float64(cc1-cc0) / float64(ct1-ct0)
-		}
 		res.WallSeconds = time.Since(start).Seconds()
 		res.Warm = res.Simulated == 0 && !res.Failed()
 		if opt.Progress != nil {
@@ -394,24 +379,10 @@ func Run(cfg Config, want func(exp string) bool, opt RunOptions) ([]SpecResult, 
 	return out, &x.summary, nil
 }
 
-// PartitionMode selects the deterministic work-unit partition of a
-// shard matrix.
-type PartitionMode string
-
-// Partition modes.
-const (
-	// PartitionCost balances estimated simulation cost across shards
-	// (greedy LPT over the static cost model) so shard wall times track
-	// each other instead of whichever shard the key hash hands the
-	// accuracy-scale heavyweights to. The default.
-	PartitionCost PartitionMode = "cost"
-	// PartitionHash is the historical partition by cache-key hash:
-	// spread is uniform in unit count but oblivious to cost.
-	PartitionHash PartitionMode = "hash"
-)
-
 // partitionByCost assigns every unit an owner shard in [0, n) by
-// longest-processing-time greedy: units in descending cost order (key
+// longest-processing-time greedy, so shard wall times track each other
+// instead of whichever shard a cost-oblivious split hands the
+// accuracy-scale heavyweights to: units in descending cost order (key
 // ID breaking ties) each go to the currently lightest shard (lowest
 // index on equal load). The result is a pure function of the unit set —
 // input order cannot matter, because the sort key is total — so every
@@ -445,26 +416,6 @@ func partitionByCost(units []WorkUnit, n int) []int {
 	return owner
 }
 
-// partitionOwners assigns every unit an owner shard in [0, n) under
-// the given mode — RunShard's partition step, separated so the
-// back-compat contract (hash mode is exactly the historical Key.Shard
-// split) stays testable without simulating anything.
-func partitionOwners(units []WorkUnit, n int, mode PartitionMode) ([]int, error) {
-	switch mode {
-	case PartitionCost, "":
-		return partitionByCost(units, n), nil
-	case PartitionHash:
-		owners := make([]int, len(units))
-		for i, u := range units {
-			owners[i] = u.Key.Shard(n)
-		}
-		return owners, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown partition mode %q (want %q or %q)",
-			mode, PartitionCost, PartitionHash)
-	}
-}
-
 // enumerateAll lists the selected specs' work units in registry order,
 // deduplicated across experiments by cache key — the exact unit set the
 // executor would run, which is what a shard matrix partitions.
@@ -485,23 +436,21 @@ func enumerateAll(cfg Config, want func(exp string) bool) []WorkUnit {
 	return units
 }
 
-// RunShard executes the shard'th of n deterministic slices of the
-// selected experiments' work units on the experiment pool, warming the
-// attached cache. It returns how many units this shard owns out of the
-// enumerated total, plus the shard's failure summary: units run under
-// the same per-unit recover/deadline/retry policy as Run, failures
-// don't abort sibling units, and the caller decides the process outcome
-// from summary.Failed(). Progress and the estimated/observed cost
-// summary (the cost-model calibration signal) go to w when non-nil.
-func RunShard(cfg Config, want func(exp string) bool, shard, n int, mode PartitionMode, opt RunOptions, w io.Writer) (owned, total int, sum *FailureSummary, err error) {
+// RunShard executes the shard'th of n deterministic, cost-balanced
+// slices (partitionByCost) of the selected experiments' work units on
+// the experiment pool, warming the attached cache. It returns how many
+// units this shard owns out of the enumerated total, plus the shard's
+// failure summary: units run under the same per-unit
+// recover/deadline/retry policy as Run, failures don't abort sibling
+// units, and the caller decides the process outcome from
+// summary.Failed(). Progress and the estimated/observed cost summary
+// (the cost-model calibration signal) go to w when non-nil.
+func RunShard(cfg Config, want func(exp string) bool, shard, n int, opt RunOptions, w io.Writer) (owned, total int, sum *FailureSummary, err error) {
 	if n < 1 || shard < 0 || shard >= n {
 		return 0, 0, nil, fmt.Errorf("experiments: shard %d/%d out of range", shard, n)
 	}
 	units := enumerateAll(cfg, want)
-	owners, err := partitionOwners(units, n, mode)
-	if err != nil {
-		return 0, 0, nil, err
-	}
+	owners := partitionByCost(units, n)
 	var mine []WorkUnit
 	var mineCost, allCost float64
 	for i, u := range units {
@@ -512,8 +461,8 @@ func RunShard(cfg Config, want func(exp string) bool, shard, n int, mode Partiti
 		}
 	}
 	if w != nil {
-		fmt.Fprintf(w, "shard %d/%d owns %d of %d work units (%s partition, est cost %.1f of %.1f)\n",
-			shard, n, len(mine), len(units), modeName(mode), mineCost, allCost)
+		fmt.Fprintf(w, "shard %d/%d owns %d of %d work units (est cost %.1f of %.1f)\n",
+			shard, n, len(mine), len(units), mineCost, allCost)
 	}
 	x := newExecutor(opt.policy())
 	intra := intraRunWorkers(len(mine))
@@ -539,11 +488,4 @@ func RunShard(cfg Config, want func(exp string) bool, shard, n int, mode Partiti
 		}
 	}
 	return len(mine), len(units), &x.summary, nil
-}
-
-func modeName(mode PartitionMode) PartitionMode {
-	if mode == "" {
-		return PartitionCost
-	}
-	return mode
 }

@@ -205,69 +205,6 @@ func TestPartitionByCostDeterministicAndBalanced(t *testing.T) {
 	}
 }
 
-// On the real evaluation's unit set, the cost partition's estimated
-// spread must be no worse than the key-hash partition's — tighter in
-// practice; the hash is cost-oblivious and routinely lands the
-// accuracy-scale heavyweights on one shard.
-func TestCostPartitionTighterThanHash(t *testing.T) {
-	units := enumerateAll(DefaultConfig(), func(string) bool { return true })
-	if len(units) == 0 {
-		t.Fatal("no units")
-	}
-	spread := func(owners []int, n int) float64 {
-		loads := make([]float64, n)
-		for i, u := range units {
-			loads[owners[i]] += u.Cost
-		}
-		min, max := loads[0], loads[0]
-		for _, l := range loads[1:] {
-			if l < min {
-				min = l
-			}
-			if l > max {
-				max = l
-			}
-		}
-		return max - min
-	}
-	for _, n := range []int{2, 4} {
-		cost := partitionByCost(units, n)
-		hash := make([]int, len(units))
-		for i, u := range units {
-			hash[i] = u.Key.Shard(n)
-		}
-		cs, hs := spread(cost, n), spread(hash, n)
-		if cs > hs {
-			t.Errorf("n=%d: cost partition spread %.2f worse than hash %.2f", n, cs, hs)
-		}
-		t.Logf("n=%d: est cost spread %.2f (cost partition) vs %.2f (hash)", n, cs, hs)
-	}
-}
-
-// RunShard's hash mode must stay exactly the historical Key.Shard
-// split: caches warmed by older trees keep their meaning.
-func TestHashPartitionMatchesKeyShard(t *testing.T) {
-	units := syntheticUnits(60)
-	const n = 3
-	owners, err := partitionOwners(units, n, PartitionHash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(owners) != len(units) {
-		t.Fatalf("assignment covers %d of %d units", len(owners), len(units))
-	}
-	spread := map[int]int{}
-	for i, u := range units {
-		if owners[i] != u.Key.Shard(n) {
-			t.Errorf("unit %s: hash mode assigned shard %d, Key.Shard says %d", u.Label, owners[i], u.Key.Shard(n))
-		}
-		spread[owners[i]]++
-	}
-	if len(spread) < 2 {
-		t.Errorf("hash partition sent all 60 units to one shard: %v", spread)
-	}
-}
-
 // The executor's cross-experiment dedup: a unit two specs share is
 // simulated once and reported as a cache hit by the later spec.
 func TestExecutorCrossSpecDedup(t *testing.T) {

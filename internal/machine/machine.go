@@ -95,15 +95,6 @@ type Config struct {
 	// ValidateSharing makes the parallel engine panic when any thread
 	// touches a line inside another thread's declared private ranges.
 	ValidateSharing bool
-
-	// SegmentJIT enables the segment compiler (jit.go): provably-local
-	// superblocks are translated once into straight-line closures and
-	// dispatched whole, under both the serial scheduler and the
-	// intra-run parallel engine. Results are byte-identical to the
-	// interpreter on every path; only wall-clock time changes. Ignored
-	// under PrivateMemory (the Sheriff overlay has its own memory
-	// semantics, which the compiled memory paths do not model).
-	SegmentJIT bool
 }
 
 // ErrTimeout reports that a run exceeded Config.MaxCycles.
@@ -156,15 +147,11 @@ type Stats struct {
 	Commits         uint64 // private-memory commit points
 	CommitCycles    uint64
 
-	// CompiledInstrs counts instructions retired by the segment
-	// compiler's closures (Config.SegmentJIT), total and per core; the
-	// remainder (Instructions - CompiledInstrs) was interpreted, so a
-	// silent fallback to the interpreter is visible here rather than
-	// guessed at. Coverage diagnostics only: the counters do not feed
-	// any simulated observable and are not captured in snapshots (see
-	// CaptureState).
-	CompiledInstrs     uint64
-	CoreCompiledInstrs []uint64
+	// CompiledInstrs is always 0: the machine interprets every
+	// instruction. It survives only because the repository benchmark
+	// (perfbench) still reads it to report machine.compiled_instr_pct;
+	// remove it together with that metric in a benchmark change.
+	CompiledInstrs uint64
 }
 
 // HITMs returns the total HITM count.
@@ -242,11 +229,6 @@ type Machine struct {
 	// eng is the intra-run parallel execution engine, nil under the
 	// serial scheduler (see parallel.go).
 	eng *engine
-
-	// jit is the segment compiler, nil unless Config.SegmentJIT is set
-	// (see jit.go). SetProgram drops it: compiled blocks index the
-	// original program's PCs only.
-	jit *segJIT
 
 	stats Stats
 }
@@ -340,7 +322,6 @@ func New(prog *isa.Program, cfg Config, specs []ThreadSpec) *Machine {
 	}
 	m.stats.HITMByPC = make(map[mem.Addr]uint64)
 	m.stats.CoreCycles = make([]uint64, cfg.Cores)
-	m.stats.CoreCompiledInstrs = make([]uint64, cfg.Cores)
 	for i, s := range specs {
 		t := &thread{id: i, pc: s.Entry}
 		_, _, sp := mem.StackFor(i)
@@ -372,9 +353,6 @@ func New(prog *isa.Program, cfg Config, specs []ThreadSpec) *Machine {
 	// order the serial scheduler cannot reproduce.
 	if cfg.Parallelism > 1 && cfg.Cores > 1 && len(specs) > 1 && len(specs) <= cfg.Cores {
 		m.eng = newEngine(m, specs)
-	}
-	if cfg.SegmentJIT && !cfg.PrivateMemory {
-		m.jit = newSegJIT(m)
 	}
 	return m
 }
@@ -423,12 +401,6 @@ func (m *Machine) SetProgram(p *isa.Program, remap func(int) int) {
 	}
 	m.prog = p
 	m.progGen++
-	// Every compiled block indexes the swapped-out program's PCs; drop
-	// the whole compiler so no stale closure can ever run (and its block
-	// caches are freed). The rewritten program is not recompiled: swaps
-	// only happen once instrumentation is installed, where segments stop
-	// carrying memory instructions anyway.
-	m.jit = nil
 }
 
 // Stats returns the statistics collected so far.
@@ -684,52 +656,7 @@ func (m *Machine) runBatch(t *thread, c int, limit, hard uint64, routed bool) bo
 		}
 	}
 	steps := uint64(0)
-	// Compiled dispatch (jit.go): only the serial scheduler's own batches
-	// compile — the engine's routed batches are its degraded contended
-	// mode, where segments are short and the lookup would not pay.
-	var jt *jitThread
-	if m.jit != nil && !routed {
-		jt = m.jit.gate(t.id, c)
-	}
-	comp := uint64(0)
 	for {
-		if jt != nil {
-			// Serial blocks hold only run-ahead-eligible (thread-local)
-			// ops with exact static costs, so like run-ahead they are
-			// bounded by hard, not limit; clk+worst < hard guarantees the
-			// interpreter would have retired every op of the block.
-			ran := false
-			for {
-				blk := m.jit.lookup(jt, t.pc)
-				if blk == nil {
-					break
-				}
-				ck := *clk
-				if ck >= hard || hard-ck <= blk.worst {
-					break
-				}
-				jvm := &jt.vm
-				jvm.t = t
-				jvm.clk = ck
-				blk.run(jvm)
-				*clk = jvm.clk
-				steps += jvm.steps
-				comp += jvm.steps
-				t.pc = jvm.pc
-				ran = true
-				if !jvm.ok {
-					break
-				}
-			}
-			// The interpreter checks the batch bounds after each op; after
-			// a compiled stretch the same check must run before the next
-			// fetch, because the loop body below always retires one op.
-			if ran {
-				if ck := *clk; ck >= limit && (ck >= hard || !opLocal[instrs[t.pc].Op]) {
-					break
-				}
-			}
-		}
 		in := &instrs[t.pc]
 		steps++
 		cost := extraInstr
@@ -887,7 +814,6 @@ func (m *Machine) runBatch(t *thread, c int, limit, hard uint64, routed bool) bo
 		*clk += cost
 		if t.halted {
 			m.stats.Instructions += steps
-			m.batchCompiled(c, comp, steps, routed)
 			m.removeThread(c, t.id)
 			return true
 		}
@@ -897,12 +823,10 @@ func (m *Machine) runBatch(t *thread, c int, limit, hard uint64, routed bool) bo
 		}
 		if m.progGen != gen {
 			// A callback hot-swapped the program (and remapped pcs); the
-			// class row indexes the original program only, and the block
-			// cache was dropped by SetProgram.
+			// class row indexes the original program only.
 			instrs = m.prog.Instrs
 			gen = m.progGen
 			row = nil
-			jt = nil
 		}
 		if ck := *clk; ck >= limit {
 			if ck >= hard || !opLocal[instrs[t.pc].Op] {
@@ -911,19 +835,7 @@ func (m *Machine) runBatch(t *thread, c int, limit, hard uint64, routed bool) bo
 		}
 	}
 	m.stats.Instructions += steps
-	m.batchCompiled(c, comp, steps, routed)
 	return false
-}
-
-// batchCompiled folds one serial batch's compiled-instruction count into
-// the coverage counters and the per-core promotion state.
-func (m *Machine) batchCompiled(c int, comp, steps uint64, routed bool) {
-	if m.jit == nil || routed {
-		return
-	}
-	m.stats.CompiledInstrs += comp
-	m.stats.CoreCompiledInstrs[c] += comp
-	m.jit.note(c, comp, steps)
 }
 
 func aluOp(k isa.ALUKind, a, b int64) int64 {

@@ -133,12 +133,6 @@ type segJob struct {
 	// allowMem permits private memory instructions in the segment; false
 	// once a program rewrite is installed (see the package comment).
 	allowMem bool
-	// jt is the thread's compiled-block cache when this segment may
-	// dispatch to the segment compiler (SegmentJIT on, original program
-	// installed, core currently promoted); nil otherwise. Resolved by
-	// the scheduler in prepJob so the worker never touches the
-	// promotion state.
-	jt *jitThread
 }
 
 // segResult carries a segment's effects back to the scheduler. Everything
@@ -150,7 +144,6 @@ type segResult struct {
 	mem   uint64
 	miss  uint64 // first-touch private lines (MissMemory outcomes)
 	hit   uint64 // re-touched private lines (HitLocal outcomes)
-	comp  uint64 // steps retired by compiled blocks (SegmentJIT)
 }
 
 // privRange is one line-aligned thread-private range plus the first-touch
@@ -571,9 +564,6 @@ func (e *engine) prepJob(c int) {
 		hard:     hard,
 		allowMem: m.progGen == 0,
 	}
-	if j := &e.state[c].job; j.allowMem && m.jit != nil {
-		j.jt = m.jit.gate(j.t.id, c)
-	}
 }
 
 func (e *engine) dispatch(c int) {
@@ -605,11 +595,6 @@ func (e *engine) consume(c int) {
 	m.stats.MemAccesses += st.res.mem
 	m.coh.Counts[coherence.MissMemory] += st.res.miss
 	m.coh.Counts[coherence.HitLocal] += st.res.hit
-	if m.jit != nil {
-		m.stats.CompiledInstrs += st.res.comp
-		m.stats.CoreCompiledInstrs[c] += st.res.comp
-		m.jit.note(c, st.res.comp, st.res.steps)
-	}
 	st.ema = (3*st.ema + float64(st.res.steps)) / 4
 	st.probe = probeInterval
 	st.status = segStopped
@@ -693,37 +678,9 @@ func (e *engine) runSegment(c int) {
 	extraLoad := m.cfg.ExtraLoadCycles
 	priv := m.cfg.PrivateMemory
 	allowMem := j.allowMem
-	var steps, memAcc, miss, hit, comp uint64
-	jt := j.jt
+	var steps, memAcc, miss, hit uint64
 loop:
 	for clk < hard {
-		// Compiled dispatch (jit.go): engine blocks carry the same
-		// runtime-checked private memory ops as the interpreting loop
-		// below; a failed check bails before any side effect and the
-		// loop below then ends the segment at that op, exactly as it
-		// would have interpreting.
-		if jt != nil {
-			for {
-				blk := m.jit.lookup(jt, t.pc)
-				if blk == nil || hard-clk <= blk.worst {
-					break
-				}
-				jvm := &jt.vm
-				jvm.t, jvm.ps, jvm.view = t, ps, view
-				jvm.clk = clk
-				blk.run(jvm)
-				clk = jvm.clk
-				steps += jvm.steps
-				comp += jvm.steps
-				memAcc += jvm.mem
-				miss += jvm.miss
-				hit += jvm.hit
-				t.pc = jvm.pc
-				if !jvm.ok {
-					break
-				}
-			}
-		}
 		in := &instrs[t.pc]
 		cost := extraInstr
 		next := t.pc + 1
@@ -846,7 +803,7 @@ loop:
 		steps++
 		t.pc = next
 	}
-	st.res = segResult{clock: clk, steps: steps, mem: memAcc, miss: miss, hit: hit, comp: comp}
+	st.res = segResult{clock: clk, steps: steps, mem: memAcc, miss: miss, hit: hit}
 }
 
 // stepOne executes exactly one instruction of t on core c — the engine's

@@ -25,7 +25,6 @@ import (
 	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -78,18 +77,6 @@ func (k Key) canonical() string {
 func (k Key) ID() string {
 	sum := sha256.Sum256([]byte(k.canonical()))
 	return hex.EncodeToString(sum[:])
-}
-
-// Shard returns the key's owner shard in [0, n): a deterministic
-// partition of the key space, used to split a full evaluation across an
-// n-way process matrix.
-func (k Key) Shard(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(k.ID()))
-	return int(h.Sum32() % uint32(n))
 }
 
 // Stats counts store activity since creation.

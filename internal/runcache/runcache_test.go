@@ -358,27 +358,28 @@ func TestKeyIdentityAndSharding(t *testing.T) {
 		t.Error("different extras share an ID")
 	}
 
-	// Shard: deterministic, in range, and reasonably spread.
-	const n = 4
-	counts := make([]int, n)
-	for i := int64(0); i < 400; i++ {
+	// On disk, entries are sharded into subdirectories by the first two
+	// hex digits of the key ID, so one directory never holds the whole
+	// cache.
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subdirs := map[string]bool{}
+	for i := int64(0); i < 16; i++ {
 		k := testKey(i)
-		sh := k.Shard(n)
-		if sh != k.Shard(n) {
-			t.Fatal("shard not deterministic")
+		if _, err := Do(st, k, func() (*payload, error) { return testPayload(), nil }); err != nil {
+			t.Fatal(err)
 		}
-		if sh < 0 || sh >= n {
-			t.Fatalf("shard %d out of range", sh)
+		id := k.ID()
+		if _, err := os.Stat(filepath.Join(dir, id[:2], id+".lrc")); err != nil {
+			t.Errorf("key %d not stored under its ID-prefix shard: %v", i, err)
 		}
-		counts[sh]++
+		subdirs[id[:2]] = true
 	}
-	for i, c := range counts {
-		if c == 0 {
-			t.Errorf("shard %d received no keys: %v", i, counts)
-		}
-	}
-	if testKey(1).Shard(1) != 0 || testKey(1).Shard(0) != 0 {
-		t.Error("degenerate shard counts must map to 0")
+	if len(subdirs) < 2 {
+		t.Errorf("16 keys landed in %d shard directories, want a spread", len(subdirs))
 	}
 }
 

@@ -103,7 +103,6 @@ type AttachOptions struct {
 	Repair               *bool    `json:"repair,omitempty"`
 	PostRepairMonitoring *bool    `json:"post_repair_monitoring,omitempty"`
 	IntraRunParallelism  *int     `json:"intra_run_parallelism,omitempty"`
-	SegmentJIT           *bool    `json:"segment_jit,omitempty"`
 	SpeculativeRepair    *bool    `json:"speculative_repair,omitempty"`
 	TrialBudget          *uint64  `json:"trial_budget,omitempty"`
 }
@@ -122,7 +121,7 @@ type AttachRequest struct {
 	// benchmark as shipped, "fixed" for the paper's manual fix.
 	Variant string `json:"variant,omitempty"`
 	// HeapBias applies the attach-time heap perturbation (laser.AttachBias),
-	// as the one-shot Run wrapper does. Defaults to true; ignored for
+	// as the evaluation harness does. Defaults to true; ignored for
 	// custom images, which lay their data out explicitly.
 	HeapBias *bool `json:"heap_bias,omitempty"`
 	// Options is the functional-option surface.
@@ -230,9 +229,6 @@ func (r *AttachRequest) SessionOptions(budget uint64) ([]laser.Option, uint64) {
 	}
 	if o.IntraRunParallelism != nil {
 		opts = append(opts, laser.WithIntraRunParallelism(*o.IntraRunParallelism))
-	}
-	if o.SegmentJIT != nil {
-		opts = append(opts, laser.WithSegmentJIT(*o.SegmentJIT))
 	}
 	if o.SpeculativeRepair != nil {
 		opts = append(opts, laser.WithSpeculativeRepair(*o.SpeculativeRepair))

@@ -322,3 +322,21 @@ func TestDurableCheckpointPinsCodeVersion(t *testing.T) {
 		t.Fatal("checkpoint has no config fingerprint")
 	}
 }
+
+// TestAttachRecordIgnoresRetiredOptions: attach.json journals written by
+// older daemons may carry attach options that no longer exist
+// ("segment_jit"); recovery must still decode them and replay the
+// options that remain.
+func TestAttachRecordIgnoresRetiredOptions(t *testing.T) {
+	raw := `{"request":{"workload":"histogram'","scale":0.1,"options":{"seed":7,"segment_jit":true}},"max_cycles":1000,"created_unix":1}`
+	var rec attachRecord
+	if err := json.Unmarshal([]byte(raw), &rec); err != nil {
+		t.Fatalf("attach record with a retired option rejected: %v", err)
+	}
+	if rec.Request.Workload != "histogram'" || rec.Request.Options.Seed == nil || *rec.Request.Options.Seed != 7 || rec.MaxCycles != 1000 {
+		t.Fatalf("decoded record = %+v", rec)
+	}
+	if err := rec.Request.Validate(); err != nil {
+		t.Fatalf("decoded request invalid: %v", err)
+	}
+}

@@ -19,16 +19,9 @@
 // mid-run (Snapshot, SnapshotAt), and run multiple detect→repair
 // epochs: after a rewrite, post-repair HITM records are remapped to
 // original-program PCs so detection re-arms instead of freezing.
-//
-// Run, RunImage and RunByName are convenience wrappers retained from the
-// one-shot API: each attaches a session pinned to the paper's single
-// detect→repair pass (one epoch, monitoring frozen at repair) and waits
-// for it, so their results — including every rendered evaluation table —
-// are identical to the historical behaviour.
 package laser
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -42,8 +35,7 @@ import (
 
 // Config assembles the component configurations. New code should prefer
 // Attach with options, which validates instead of silently coercing;
-// Config remains the bulk form (see WithConfig) and the shape the legacy
-// wrappers take.
+// Config remains the bulk form (see WithConfig).
 type Config struct {
 	Cores        int
 	PEBS         pebs.Config
@@ -61,15 +53,8 @@ type Config struct {
 	// WithIntraRunParallelism). Results are byte-identical to the serial
 	// engine; 0 or 1 selects it.
 	IntraRunParallelism int
-	// SegmentJIT compiles provably-private instruction segments into
-	// straight-line native closures inside the simulated machine (see
-	// WithSegmentJIT). Results are byte-identical to the interpreter;
-	// only wall-clock time changes. Ignored under execution models with
-	// their own memory semantics (Sheriff).
-	SegmentJIT bool
 	// MaxEpochs bounds how many detect→repair epochs a session may run.
-	// 0 means "entry point's default": 1 (the paper's one-shot pass) for
-	// the Run wrappers, DefaultMaxEpochs for Attach.
+	// 0 means DefaultMaxEpochs; 1 is the paper's one-shot pass.
 	MaxEpochs int
 	// SpeculativeRepair races competing repair candidates when the §4.4
 	// trigger first fires: the session forks itself from the trigger
@@ -100,7 +85,7 @@ func DefaultConfig() Config {
 
 // Validate normalizes and checks a configuration. Zero values the
 // one-shot API historically coerced keep their defaults — Cores 0→4,
-// PollInterval 0→2M cycles, PEBS.BufferCap 0→64, MaxEpochs 0→1 —
+// PollInterval 0→2M cycles, PEBS.BufferCap 0→64 —
 // while genuinely invalid values (negative counts, non-positive
 // sample-after values, negative thresholds) are rejected with
 // descriptive errors instead of being run with.
@@ -132,9 +117,6 @@ func (c *Config) Validate() error {
 	if c.PEBS.BufferCap == 0 {
 		c.PEBS.BufferCap = 64
 	}
-	if c.MaxEpochs == 0 {
-		c.MaxEpochs = 1
-	}
 	return nil
 }
 
@@ -142,10 +124,10 @@ func (c *Config) Validate() error {
 type Result struct {
 	// Stats are the machine statistics of the monitored application.
 	Stats *machine.Stats
-	// Report is the contention report at exit. Under the one-shot
-	// wrappers these are the pre-repair aggregates; a multi-epoch
-	// session keeps the report live across repairs, attributed to
-	// original-program PCs.
+	// Report is the contention report at exit. With post-repair
+	// monitoring off (WithPostRepairMonitoring) these are the pre-repair
+	// aggregates; otherwise the report stays live across repairs,
+	// attributed to original-program PCs.
 	Report *core.Report
 	// Pipeline exposes the detector for offline re-thresholding (Fig. 9).
 	Pipeline *core.Pipeline
@@ -188,60 +170,11 @@ func RunNative(img *workload.Image, cores int) (*machine.Stats, error) {
 // keeps the hardware busy when a figure has fewer runnable simulations
 // than host cores.
 func RunNativeParallel(img *workload.Image, cores, workers int) (*machine.Stats, error) {
-	return RunNativeParallelJIT(img, cores, workers, false)
-}
-
-// RunNativeParallelJIT is RunNativeParallel with the segment compiler
-// optionally enabled (see WithSegmentJIT): provably-private instruction
-// stretches execute as compiled straight-line closures, byte-identical
-// to the interpreter at any worker count.
-func RunNativeParallelJIT(img *workload.Image, cores, workers int, segjit bool) (*machine.Stats, error) {
 	m := machine.New(img.Prog, machine.Config{
 		Cores:       cores,
 		Parallelism: workers,
-		SegmentJIT:  segjit,
 		PrivateData: img.PrivateRanges(),
 	}, img.Specs)
 	img.Init(m)
 	return m.Run()
-}
-
-// Run builds the workload (with the attach-time heap bias), starts the
-// full LASER stack around it, and executes to completion with periodic
-// detector polling and, when triggered and profitable, online repair.
-// It is a convenience wrapper over a one-epoch Session.
-func Run(w *workload.Workload, opts workload.Options, cfg Config) (*Result, error) {
-	opts.HeapBias = AttachBias
-	img := w.Build(opts)
-	return RunImage(img, cfg)
-}
-
-// RunImage runs LASER around an already-built image: it attaches a
-// session pinned to the paper's one-shot semantics — a single
-// detect→repair epoch, with monitoring results frozen once a repair is
-// installed (the paper's detector likewise reports the pre-repair
-// contention) — and waits for it.
-func RunImage(img *workload.Image, cfg Config) (*Result, error) {
-	st := settings{cfg: cfg}
-	if err := st.cfg.Validate(); err != nil {
-		return nil, err
-	}
-	s, err := newSession(img, st)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	return s.Wait()
-}
-
-// ErrNoWorkload is returned by RunByName for unknown workloads.
-var ErrNoWorkload = errors.New("laser: unknown workload")
-
-// RunByName is a convenience wrapper for the command-line tools.
-func RunByName(name string, opts workload.Options, cfg Config) (*Result, error) {
-	w, ok := workload.Get(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoWorkload, name)
-	}
-	return Run(w, opts, cfg)
 }

@@ -211,7 +211,6 @@ func newSession(img *workload.Image, st settings) (*Session, error) {
 		Probe:       pmu,
 		MaxCycles:   cfg.MaxCycles,
 		Parallelism: cfg.IntraRunParallelism,
-		SegmentJIT:  cfg.SegmentJIT,
 		PrivateData: img.PrivateRanges(),
 		OnAliasMiss: func(tid int, pc mem.Addr) {
 			if ctl != nil {
@@ -513,9 +512,10 @@ func (s *Session) maybeRepair() {
 	// Records still sitting in per-core PEBS buffers were sampled from
 	// the program about to be replaced; flush and feed them under the
 	// current remap table before the swap, or they would be translated
-	// with the wrong table later. The one-shot wrappers freeze
-	// monitoring at the repair instead — there the stragglers are
-	// dropped, exactly as the historical implementation did.
+	// with the wrong table later. A session pinned to one-shot
+	// semantics (WithPostRepairMonitoring(false)) freezes monitoring at
+	// the repair instead — there the stragglers are dropped, exactly as
+	// the historical implementation did.
 	if s.monitorAfterRepair {
 		s.pmu.Drain()
 		s.ingest()

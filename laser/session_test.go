@@ -228,44 +228,6 @@ func TestSessionEventsChannel(t *testing.T) {
 	}
 }
 
-// TestLegacyWrapperMatchesPinnedSession: RunImage is a session pinned to
-// one-shot semantics; an explicitly pinned Attach must reproduce it
-// exactly.
-func TestLegacyWrapperMatchesPinnedSession(t *testing.T) {
-	build := func() *workload.Image {
-		w, _ := workload.Get("linear_regression")
-		return w.Build(workload.Options{Scale: 0.6, HeapBias: laser.AttachBias})
-	}
-	legacy, err := laser.RunImage(build(), laser.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := laser.Attach(build(),
-		laser.WithConfig(laser.DefaultConfig()),
-		laser.WithMaxEpochs(1),
-		laser.WithPostRepairMonitoring(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	ported, err := s.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Stats.Cycles != ported.Stats.Cycles {
-		t.Errorf("cycles differ: legacy %d, session %d", legacy.Stats.Cycles, ported.Stats.Cycles)
-	}
-	if legacy.RepairApplied != ported.RepairApplied {
-		t.Errorf("RepairApplied differs")
-	}
-	if legacy.DetectorCycle != ported.DetectorCycle {
-		t.Errorf("DetectorCycle differs: %d vs %d", legacy.DetectorCycle, ported.DetectorCycle)
-	}
-	if a, b := legacy.Report.Render(), ported.Report.Render(); a != b {
-		t.Errorf("reports differ:\n%s\nvs\n%s", a, b)
-	}
-}
-
 // TestOptionValidation: option constructors reject invalid values with
 // descriptive errors instead of coercing them.
 func TestOptionValidation(t *testing.T) {
@@ -300,7 +262,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("zero coercions rejected: %v", err)
 	}
-	if cfg.Cores != 4 || cfg.PollInterval != 2_000_000 || cfg.MaxEpochs != 1 {
+	if cfg.Cores != 4 || cfg.PollInterval != 2_000_000 {
 		t.Errorf("normalization wrong: %+v", cfg)
 	}
 
@@ -320,10 +282,10 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("negative MaxEpochs accepted")
 	}
 
-	// The legacy entry point goes through the shim too.
+	// Attach runs a WithConfig configuration through the shim too.
 	w, _ := workload.Get("histogram'")
-	if _, err := laser.Run(w, workload.Options{Scale: 0.1}, bad); err == nil {
-		t.Error("RunImage accepted an invalid Config")
+	if _, err := laser.Attach(w.Build(workload.Options{Scale: 0.1}), laser.WithConfig(bad)); err == nil {
+		t.Error("Attach accepted an invalid Config")
 	}
 }
 
