@@ -25,15 +25,15 @@ package repro
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/workload"
-	"repro/laser"
 )
 
 func benchConfig() experiments.Config {
@@ -214,12 +214,11 @@ func BenchmarkFigure13(b *testing.B) {
 }
 
 // BenchmarkIntraRunSpeedup wall-times one high-scale native run (4
-// simulated cores, accuracy scale) under the serial scheduler and under
-// the intra-run parallel engine, and reports the speedup. The simulated
-// statistics are byte-identical by construction; only the wall clock
-// changes — on a multi-core host the private-heavy workloads approach
-// the worker count, while on a single core the engine stays near 1.0x.
-// laserbench -json records the same measurement in BENCH_PR3.json.
+// simulated cores, accuracy scale) on the serial reference interpreter
+// (the same image with no declared private data) and on the
+// private-segment engine the image's declaration selects, and reports
+// the speedup. The simulated statistics are byte-identical by
+// construction; only the wall clock changes.
 func BenchmarkIntraRunSpeedup(b *testing.B) {
 	cfg := benchConfig()
 	for _, name := range []string{"histogram", "swaptions", "histogram'"} {
@@ -228,25 +227,30 @@ func BenchmarkIntraRunSpeedup(b *testing.B) {
 			b.Fatalf("unknown workload %q", name)
 		}
 		b.Run(name, func(b *testing.B) {
-			run := func(par int) time.Duration {
+			run := func(engine bool) time.Duration {
 				img := w.Build(workload.Options{Scale: cfg.AccuracyScale})
+				var priv [][]mem.Range
+				if engine {
+					priv = img.PrivateRanges()
+				}
+				m := machine.New(img.Prog, machine.Config{Cores: 4, PrivateData: priv}, img.Specs)
+				if m.IntraRunParallel() != engine {
+					b.Fatalf("engine engaged = %v, want %v", m.IntraRunParallel(), engine)
+				}
+				img.Init(m)
 				start := time.Now()
-				if _, err := laser.RunNativeParallel(img, 4, par); err != nil {
+				if _, err := m.Run(); err != nil {
 					b.Fatal(err)
 				}
 				return time.Since(start)
 			}
-			workers := min(4, runtime.GOMAXPROCS(0))
-			if workers < 2 {
-				workers = 2 // still exercises the engine; no host parallelism
-			}
 			for i := 0; i < b.N; i++ {
-				serial := run(1)
-				parallel := run(workers)
+				serial := run(false)
+				engine := run(true)
 				if i == 0 {
 					b.ReportMetric(serial.Seconds(), "serial_s")
-					b.ReportMetric(parallel.Seconds(), "parallel_s")
-					b.ReportMetric(float64(serial)/float64(parallel), "speedup")
+					b.ReportMetric(engine.Seconds(), "engine_s")
+					b.ReportMetric(float64(serial)/float64(engine), "speedup")
 				}
 			}
 		})

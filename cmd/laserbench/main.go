@@ -4,7 +4,7 @@
 // Usage:
 //
 //	laserbench [-exp all|fig3|tab1|tab2|fig9|fig10|fig11|fig12|fig13|fig14]
-//	           [-ascale N] [-pscale N] [-runs N] [-intra N]
+//	           [-ascale N] [-pscale N] [-runs N]
 //	           [-speculative-repair=true|false]
 //	           [-cache DIR] [-shard I/N]
 //	           [-cache-gc AGE] [-cache-gc-bytes N]
@@ -16,11 +16,8 @@
 // cache-pure assembly step); a single executor runs the selected specs'
 // units concurrently on every host core and assembles each figure from
 // the run cache. Set LASER_BENCH_PARALLEL to pick the worker count
-// (1 = fully serial). When a phase has fewer runnable simulations than
-// host workers, the leftovers move inside each simulated machine via
-// the intra-run parallel engine; -intra (or LASER_BENCH_INTRA)
-// overrides the split. The rendered output is byte-identical at any
-// parallelism, on either axis — only wall time changes.
+// (1 = fully serial). The rendered output is byte-identical at any
+// parallelism — only wall time changes.
 //
 // -cache DIR attaches a persistent run cache: every simulation result
 // is content-addressed by (workload, scale, variant, tool, SAV, seed,
@@ -86,7 +83,6 @@ func main() {
 	pscale := flag.Float64("pscale", 1, "performance experiment scale")
 	runs := flag.Int("runs", 3, "runs per performance data point")
 	specRepair := flag.Bool("speculative-repair", true, "race repair candidates in bounded forked trials before installing (Figure 11 automatic rows)")
-	intra := flag.Int("intra", 0, "intra-run engine workers per simulation (0 = automatic split)")
 	faultPlan := flag.String("fault-plan", "", "deterministic fault-injection plan (default $LASER_FAULT_PLAN; see internal/faultinject)")
 	unitRetries := flag.Int("unit-retries", 0, "attempts per failing work unit before quarantine (0 = default 3)")
 	unitDeadlineFloor := flag.Duration("unit-deadline-floor", 0, "minimum per-unit deadline (0 = default 30s)")
@@ -118,9 +114,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *intra > 0 {
-		os.Setenv("LASER_BENCH_INTRA", fmt.Sprint(*intra))
-	}
 	planSpec := *faultPlan
 	if planSpec == "" {
 		planSpec = os.Getenv("LASER_FAULT_PLAN")
@@ -238,16 +231,6 @@ func main() {
 	runGC()
 
 	if *jsonPath != "" {
-		// The engine microbenchmark: one private-heavy and one contended
-		// workload, at accuracy scale, serial vs intra-run parallel.
-		workers := *intra
-		if workers <= 1 {
-			workers = 4
-		}
-		if err := bench.MeasureIntraRun([]string{"histogram", "swaptions", "histogram'"},
-			*ascale, workers); err != nil {
-			fail(err)
-		}
 		if err := bench.WriteFile(*jsonPath); err != nil {
 			fail(err)
 		}

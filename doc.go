@@ -41,16 +41,16 @@
 // hot paths; the load/store path and the Session's streaming Step both
 // run at 0 allocs/op.
 //
-// A single simulated machine can also execute on several host threads:
-// the intra-run parallel engine (machine.Config.Parallelism,
-// laser.WithIntraRunParallelism) runs each core's thread-private
-// instruction stretches concurrently — guided by a static per-(thread,
-// PC) sharing analysis in internal/isa plus the workloads' declared
-// thread-private allocations — and retires every globally-visible event
-// serially in the exact serial-schedule order, so results are
-// byte-identical to the serial engine at any worker count. See
-// DESIGN.md, "The two execution engines"; "Why there is no JIT" there
-// records why these two engines are the only ones.
+// A workload that declares thread-private allocations runs on the
+// private-segment engine (machine.New picks it from
+// machine.Config.PrivateData): each core's thread-private instruction
+// stretches run back to back — guided by a static per-(thread, PC)
+// sharing analysis in internal/isa plus the declared allocations — and
+// every globally-visible event retires in the exact serial-schedule
+// order, so results are byte-identical to the serial batch interpreter
+// every other input runs on. See DESIGN.md, "The two execution engines";
+// "Why there is no JIT" there records why these two engines are the
+// only ones.
 //
 // The experiment harness in internal/experiments is a registry of
 // declarative experiment specs: each figure enumerates its cacheable
@@ -59,13 +59,10 @@
 // while a single executor fans the units out across all host cores,
 // deduplicates them across experiments, and can partition them into a
 // cost-balanced shard matrix (see DESIGN.md, "The experiment
-// registry"). When a phase has fewer runnable simulations than host
-// workers, the leftover workers move inside each machine via the
-// intra-run engine.
+// registry").
 // LASER_BENCH_PARALLEL selects the pool worker count (default
-// GOMAXPROCS; 1 recovers the serial harness) and LASER_BENCH_INTRA
-// overrides the intra-run split; results are assembled in index order,
-// so every rendered table and figure is byte-identical at any
-// parallelism on either axis. LASER_BENCH_ASCALE, LASER_BENCH_PSCALE
+// GOMAXPROCS; 1 recovers the serial harness); results are assembled in
+// index order, so every rendered table and figure is byte-identical at
+// any parallelism. LASER_BENCH_ASCALE, LASER_BENCH_PSCALE
 // and LASER_BENCH_RUNS scale the benchmark suite in bench_test.go.
 package repro

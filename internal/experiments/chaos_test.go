@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -145,9 +146,13 @@ func TestRunDeadlinePreemptsStall(t *testing.T) {
 	cfg := cacheTestConfig()
 	want := func(e string) bool { return e == "fig3" }
 
-	// One characterization unit stalls 30s on its first attempt; the
-	// shrunk deadline floor preempts it in ~50ms and the retry passes.
-	enableFaults(t, "seed=2;unit.stall:p=1,attempts=1,delay=30s,match=char/FSRW/0")
+	// One characterization unit stalls on its first attempt; the shrunk
+	// deadline floor preempts it in ~50ms and the retry passes. A run
+	// that waited the stall out cannot finish sooner than the stall's
+	// own delay, so that delay bounds the elapsed time however slow the
+	// host is; the fault kind below pins the preemption itself.
+	const stall = 30 * time.Second
+	enableFaults(t, fmt.Sprintf("seed=2;unit.stall:p=1,attempts=1,delay=%s,match=char/FSRW/0", stall))
 	opts := chaosOpts()
 	opts.DeadlineFloor = 50 * time.Millisecond
 	start := time.Now()
@@ -155,8 +160,8 @@ func TestRunDeadlinePreemptsStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > 20*time.Second {
-		t.Fatalf("deadline did not preempt the stall (run took %s)", elapsed)
+	if elapsed := time.Since(start); elapsed >= stall {
+		t.Fatalf("deadline did not preempt the stall (run took %s, the stall lasts %s)", elapsed, stall)
 	}
 	if sum.Failed() {
 		t.Fatalf("stalled unit quarantined despite retry budget: %s", sum)

@@ -175,7 +175,7 @@ func newExecutor(pol runPolicy) *executor {
 // The stall consumes the whole attempt (it never proceeds to run the
 // unit): the run cache's singleflight would otherwise pin later
 // attempts behind the stalled computation.
-func (x *executor) runAttempt(u WorkUnit, intra, attempt int) error {
+func (x *executor) runAttempt(u WorkUnit, attempt int) error {
 	done := make(chan error, 1)
 	go func() {
 		defer func() {
@@ -192,7 +192,7 @@ func (x *executor) runAttempt(u WorkUnit, intra, attempt int) error {
 			done <- err
 			return
 		}
-		done <- u.Run(intra)
+		done <- u.Run()
 	}()
 	deadline := x.pol.deadline(u.Cost)
 	timer := time.NewTimer(deadline)
@@ -211,14 +211,14 @@ func (x *executor) runAttempt(u WorkUnit, intra, attempt int) error {
 // after failed attempts; (nil, nil) is a clean first-attempt success.
 // runUnit touches no executor state — it runs concurrently on the
 // worker pool and the serial spec loop folds its results in unit order.
-func (x *executor) runUnit(spec string, u WorkUnit, intra int) (*UnitFailure, *UnitRetry) {
+func (x *executor) runUnit(spec string, u WorkUnit) (*UnitFailure, *UnitRetry) {
 	var kinds []string
 	var lastErr error
 	for attempt := 1; attempt <= x.pol.maxAttempts; attempt++ {
 		if attempt > 1 {
 			time.Sleep(x.pol.backoffBase << (attempt - 2))
 		}
-		err := x.runAttempt(u, intra, attempt)
+		err := x.runAttempt(u, attempt)
 		if err == nil {
 			if len(kinds) == 0 {
 				return nil, nil
@@ -312,11 +312,10 @@ func Run(cfg Config, want func(exp string) bool, opt RunOptions) ([]SpecResult, 
 				phase = append(phase, u)
 			}
 		}
-		intra := intraRunWorkers(len(phase))
 		fails := make([]*UnitFailure, len(phase))
 		retries := make([]*UnitRetry, len(phase))
 		forEach(len(phase), func(i int) error {
-			fails[i], retries[i] = x.runUnit(spec.Name, phase[i], intra)
+			fails[i], retries[i] = x.runUnit(spec.Name, phase[i])
 			return nil
 		})
 		x.fold(fails, retries)
@@ -465,11 +464,10 @@ func RunShard(cfg Config, want func(exp string) bool, shard, n int, opt RunOptio
 			shard, n, len(mine), len(units), mineCost, allCost)
 	}
 	x := newExecutor(opt.policy())
-	intra := intraRunWorkers(len(mine))
 	fails := make([]*UnitFailure, len(mine))
 	retries := make([]*UnitRetry, len(mine))
 	forEach(len(mine), func(i int) error {
-		fails[i], retries[i] = x.runUnit("shard", mine[i], intra)
+		fails[i], retries[i] = x.runUnit("shard", mine[i])
 		return nil
 	})
 	x.fold(fails, retries)

@@ -66,7 +66,7 @@ func TestAccuracyHeadlines(t *testing.T) {
 			pipelines: map[string]*core.PipeState{},
 			seconds:   map[string]float64{},
 		}
-		row, err := accuracyRow(cfg, tc.name, 1, res)
+		row, err := accuracyRow(cfg, tc.name, res)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -88,7 +88,7 @@ func TestDedupVTuneFalseNegative(t *testing.T) {
 		pipelines: map[string]*core.PipeState{},
 		seconds:   map[string]float64{},
 	}
-	row, err := accuracyRow(cfg, "dedup", 1, res)
+	row, err := accuracyRow(cfg, "dedup", res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestAccuracyQuietWorkloads(t *testing.T) {
 			pipelines: map[string]*core.PipeState{},
 			seconds:   map[string]float64{},
 		}
-		row, err := accuracyRow(cfg, name, 1, res)
+		row, err := accuracyRow(cfg, name, res)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -140,7 +140,7 @@ func TestSheriffAccuracyMechanisms(t *testing.T) {
 			pipelines: map[string]*core.PipeState{},
 			seconds:   map[string]float64{},
 		}
-		row, err := accuracyRow(cfg, tc.name, 1, res)
+		row, err := accuracyRow(cfg, tc.name, res)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -167,7 +167,7 @@ func TestFigure9Shape(t *testing.T) {
 	}
 	// A representative subset keeps the test fast.
 	for _, name := range []string{"histogram'", "kmeans", "linear_regression", "reverse_index", "word_count"} {
-		if _, err := accuracyRow(cfg, name, 1, res); err != nil {
+		if _, err := accuracyRow(cfg, name, res); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,8 +194,8 @@ func TestFigure9Shape(t *testing.T) {
 func TestFigure10Subset(t *testing.T) {
 	cfg := Config{PerfScale: 0.5, Runs: 1}
 	check := func(name string, laserMax, vtuneMin float64) {
-		l, err := normalizedRuntime(cfg, name, 1, func(seed int64) (uint64, error) {
-			res, err := runLaser(name, cfg.PerfScale, true, false, laserSAV, seed, 1)
+		l, err := normalizedRuntime(cfg, name, func(seed int64) (uint64, error) {
+			res, err := runLaser(name, cfg.PerfScale, true, false, laserSAV, seed)
 			if err != nil {
 				return 0, err
 			}
@@ -208,8 +208,8 @@ func TestFigure10Subset(t *testing.T) {
 			t.Errorf("%s LASER overhead %.3f, want ≤ %.2f", name, l, laserMax)
 		}
 		if vtuneMin > 0 {
-			v, err := normalizedRuntime(cfg, name, 1, func(seed int64) (uint64, error) {
-				out, err := runVTune(name, cfg.PerfScale, seed, 1)
+			v, err := normalizedRuntime(cfg, name, func(seed int64) (uint64, error) {
+				out, err := runVTune(name, cfg.PerfScale, seed)
 				if err != nil {
 					return 0, err
 				}
@@ -321,7 +321,7 @@ func TestFigure11RenderSeedAccounting(t *testing.T) {
 // Figure 12 accounting: driver and detector shares must be small even for
 // the most monitored workload.
 func TestFigure12Accounting(t *testing.T) {
-	res, err := runLaser("kmeans", 0.5, false, false, laserSAV, 1, 1)
+	res, err := runLaser("kmeans", 0.5, false, false, laserSAV, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,55 +73,6 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestIntraRunEquivalence regenerates Figure 11 (native baselines, full
-// LASER sessions with online repair, manual-fix runs) with the intra-run
-// parallel engine forced on inside every simulated machine, and demands
-// the byte-identical render of the serial-engine run. Together with
-// TestSerialParallelEquivalence this pins the harness contract for both
-// parallelism axes.
-func TestIntraRunEquivalence(t *testing.T) {
-	cfg := Config{AccuracyScale: 2, PerfScale: 0.5, Runs: 1}
-	capture := func() string {
-		// The run cache must not leak runs across engine settings
-		// within this test, or the comparison would be vacuous;
-		// distinct scales per env setting would defeat the point, so
-		// clear it instead.
-		resetCache()
-		rows, err := RunFigure11(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return RenderFigure11(rows)
-	}
-	t.Setenv("LASER_BENCH_INTRA", "1")
-	serial := capture()
-	t.Setenv("LASER_BENCH_INTRA", "3")
-	intra := capture()
-	if serial != intra {
-		t.Errorf("Figure 11 differs between serial and intra-run engines:\n%s\nvs\n%s", serial, intra)
-	}
-}
-
-// TestIntraRunWorkersSplit pins the worker-split policy.
-func TestIntraRunWorkersSplit(t *testing.T) {
-	t.Setenv("LASER_BENCH_PARALLEL", "16")
-	for _, tc := range []struct{ tasks, want int }{
-		{35, 1}, // more runs than workers: run-level only
-		{16, 1},
-		{8, 2},
-		{4, 4},
-		{1, 4}, // capped at the simulated core count
-	} {
-		if got := intraRunWorkers(tc.tasks); got != tc.want {
-			t.Errorf("intraRunWorkers(%d) = %d, want %d", tc.tasks, got, tc.want)
-		}
-	}
-	t.Setenv("LASER_BENCH_INTRA", "2")
-	if got := intraRunWorkers(35); got != 2 {
-		t.Errorf("LASER_BENCH_INTRA override ignored: got %d", got)
-	}
-}
-
 // TestEnvKnobRejection pins the loud-rejection contract of the
 // environment knobs: well-formed values are honoured, malformed or
 // out-of-range ones warn on stderr once per (variable, value) pair and
@@ -159,31 +110,6 @@ func TestEnvKnobRejection(t *testing.T) {
 		}
 	}
 
-	t.Setenv("LASER_BENCH_PARALLEL", "4")
-	for _, tc := range []struct {
-		env   string
-		tasks int
-		want  int // want from intraRunWorkers(tasks)
-		warn  bool
-	}{
-		{"2", 35, 2, false}, // explicit override wins even with many tasks
-		{"0", 35, 1, true},  // malformed: automatic split (runs saturate)
-		{"0", 1, 4, true},   // malformed: automatic split (leftovers inside)
-		{"x", 1, 4, true},
-		{"-1", 35, 1, true},
-		{"", 35, 1, false},
-	} {
-		envWarned = sync.Map{}
-		buf.Reset()
-		t.Setenv("LASER_BENCH_INTRA", tc.env)
-		if got := intraRunWorkers(tc.tasks); got != tc.want {
-			t.Errorf("LASER_BENCH_INTRA=%q: intraRunWorkers(%d) = %d, want %d", tc.env, tc.tasks, got, tc.want)
-		}
-		if warned := buf.Len() > 0; warned != tc.warn {
-			t.Errorf("LASER_BENCH_INTRA=%q: warned=%v, want %v (output %q)", tc.env, warned, tc.warn, buf.String())
-		}
-	}
-
 	// The warning dedupes per (variable, value): repeated reads of one
 	// bad setting print once.
 	envWarned = sync.Map{}
@@ -200,11 +126,11 @@ func TestEnvKnobRejection(t *testing.T) {
 // for one (workload, scale, variant) key return the same deterministic
 // stats object without re-simulating.
 func TestNativeRunCache(t *testing.T) {
-	a, err := runNative("histogram", 0.25, 0, 1)
+	a, err := runNative("histogram", 0.25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runNative("histogram", 0.25, 0, 1)
+	b, err := runNative("histogram", 0.25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +140,7 @@ func TestNativeRunCache(t *testing.T) {
 	if a.Cycles == 0 {
 		t.Error("cached native run has zero cycles")
 	}
-	if _, err := runNative("no_such_workload", 1, 0, 1); err == nil {
+	if _, err := runNative("no_such_workload", 1, 0); err == nil {
 		t.Error("unknown workload did not error")
 	}
 }

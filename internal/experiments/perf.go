@@ -55,11 +55,10 @@ var fig10Spec = &Spec{
 func RunFigure10(cfg Config) ([]Fig10Row, error) {
 	names := workloadNames()
 	rows := make([]Fig10Row, len(names))
-	intra := intraRunWorkers(len(names))
 	err := forEach(len(names), func(i int) error {
 		name := names[i]
-		l, err := normalizedRuntime(cfg, name, intra, func(seed int64) (uint64, error) {
-			res, err := runLaser(name, cfg.PerfScale, true, false, laserSAV, seed, intra)
+		l, err := normalizedRuntime(cfg, name, func(seed int64) (uint64, error) {
+			res, err := runLaser(name, cfg.PerfScale, true, false, laserSAV, seed)
 			if err != nil {
 				return 0, err
 			}
@@ -68,8 +67,8 @@ func RunFigure10(cfg Config) ([]Fig10Row, error) {
 		if err != nil {
 			return fmt.Errorf("fig10 %s laser: %w", name, err)
 		}
-		v, err := normalizedRuntime(cfg, name, intra, func(seed int64) (uint64, error) {
-			out, err := runVTune(name, cfg.PerfScale, seed, intra)
+		v, err := normalizedRuntime(cfg, name, func(seed int64) (uint64, error) {
+			out, err := runVTune(name, cfg.PerfScale, seed)
 			if err != nil {
 				return 0, err
 			}
@@ -202,11 +201,10 @@ var fig11Spec = &Spec{
 func RunFigure11(cfg Config) ([]Fig11Row, error) {
 	autoNames, manualNames := fig11AutoSet, fig11ManualSet
 	rows := make([]Fig11Row, len(autoNames)+len(manualNames))
-	intra := intraRunWorkers(len(rows))
 	err := forEach(len(rows), func(i int) error {
 		if i < len(autoNames) {
 			name := autoNames[i]
-			row, err := fig11AutoRow(cfg, name, intra)
+			row, err := fig11AutoRow(cfg, name)
 			if err != nil {
 				return fmt.Errorf("fig11 auto %s: %w", name, err)
 			}
@@ -214,8 +212,8 @@ func RunFigure11(cfg Config) ([]Fig11Row, error) {
 			return nil
 		}
 		name := manualNames[i-len(autoNames)]
-		norm, err := normalizedRuntime(cfg, name, intra, func(int64) (uint64, error) {
-			st, err := runNative(name, cfg.PerfScale, workload.Fixed, intra)
+		norm, err := normalizedRuntime(cfg, name, func(int64) (uint64, error) {
+			st, err := runNative(name, cfg.PerfScale, workload.Fixed)
 			if err != nil {
 				return 0, err
 			}
@@ -238,7 +236,7 @@ func RunFigure11(cfg Config) ([]Fig11Row, error) {
 		// no-op baseline, and a measured decline turns "fix did not beat
 		// native" from an assertion into trial numbers.
 		if cfg.SpeculativeRepair && fig11TrialBackedSet()[name] {
-			res, err := runLaserProbe(name, cfg.PerfScale, laserSAV, 1, intra)
+			res, err := runLaserProbe(name, cfg.PerfScale, laserSAV, 1)
 			if err != nil {
 				return fmt.Errorf("fig11 manual %s trials: %w", name, err)
 			}
@@ -315,10 +313,10 @@ func trialNote(trials []repair.TrialResult) string {
 }
 
 // fig11AutoRow measures one automatic (online repair) bar, seed by seed.
-func fig11AutoRow(cfg Config, name string, intra int) (Fig11Row, error) {
+func fig11AutoRow(cfg Config, name string) (Fig11Row, error) {
 	row := Fig11Row{Workload: name, Mode: "automatic"}
 	native, err := repeated(cfg, func(int64) (uint64, error) {
-		st, err := runNative(name, cfg.PerfScale, workload.Native, intra)
+		st, err := runNative(name, cfg.PerfScale, workload.Native)
 		if err != nil {
 			return 0, err
 		}
@@ -337,7 +335,7 @@ func fig11AutoRow(cfg Config, name string, intra int) (Fig11Row, error) {
 	row.Seeds = runs
 	repaired := make([]float64, 0, runs)
 	for seed := 1; seed <= runs; seed++ {
-		res, err := runLaser(name, cfg.PerfScale, true, cfg.SpeculativeRepair, laserSAV, int64(seed), intra)
+		res, err := runLaser(name, cfg.PerfScale, true, cfg.SpeculativeRepair, laserSAV, int64(seed))
 		if err != nil {
 			return row, err
 		}
@@ -453,14 +451,13 @@ var fig12Spec = &Spec{
 func RunFigure12(cfg Config) ([]Fig12Row, error) {
 	names := workloadNames()
 	candidates := make([]*Fig12Row, len(names))
-	intra := intraRunWorkers(len(names))
 	err := forEach(len(names), func(i int) error {
 		name := names[i]
-		res, err := runLaser(name, cfg.PerfScale, false, false, laserSAV, 1, intra)
+		res, err := runLaser(name, cfg.PerfScale, false, false, laserSAV, 1)
 		if err != nil {
 			return fmt.Errorf("fig12 %s: %w", name, err)
 		}
-		nat, err := runNative(name, cfg.PerfScale, workload.Native, intra)
+		nat, err := runNative(name, cfg.PerfScale, workload.Native)
 		if err != nil {
 			return err
 		}
@@ -554,11 +551,10 @@ var fig13Spec = &Spec{
 func RunFigure13(cfg Config) ([]Fig13Point, error) {
 	savs := fig13SAVs
 	out := make([]Fig13Point, len(savs))
-	intra := intraRunWorkers(len(savs))
 	err := forEach(len(savs), func(i int) error {
 		sav := savs[i]
-		norm, err := normalizedRuntime(cfg, "dedup", intra, func(seed int64) (uint64, error) {
-			res, err := runLaser("dedup", cfg.PerfScale, false, false, sav, seed, intra)
+		norm, err := normalizedRuntime(cfg, "dedup", func(seed int64) (uint64, error) {
+			res, err := runLaser("dedup", cfg.PerfScale, false, false, sav, seed)
 			if err != nil {
 				return 0, err
 			}
@@ -660,14 +656,13 @@ type Fig14Row struct {
 // experiment pool.
 func RunFigure14(cfg Config) ([]Fig14Row, error) {
 	rows := make([]Fig14Row, len(fig14Set))
-	intra := intraRunWorkers(len(fig14Set))
 	err := forEach(len(fig14Set), func(i int) error {
 		name := fig14Set[i]
 		w, _ := workload.Get(name)
 		row := Fig14Row{Workload: name}
 		var err error
-		row.Laser, err = normalizedRuntime(cfg, name, intra, func(seed int64) (uint64, error) {
-			res, err := runLaser(name, cfg.PerfScale, true, false, laserSAV, seed, intra)
+		row.Laser, err = normalizedRuntime(cfg, name, func(seed int64) (uint64, error) {
+			res, err := runLaser(name, cfg.PerfScale, true, false, laserSAV, seed)
 			if err != nil {
 				return 0, err
 			}
@@ -677,8 +672,8 @@ func RunFigure14(cfg Config) ([]Fig14Row, error) {
 			return fmt.Errorf("fig14 %s: %w", name, err)
 		}
 		if w.HasFix {
-			row.ManualFix, err = normalizedRuntime(cfg, name, intra, func(int64) (uint64, error) {
-				st, err := runNative(name, cfg.PerfScale, workload.Fixed, intra)
+			row.ManualFix, err = normalizedRuntime(cfg, name, func(int64) (uint64, error) {
+				st, err := runNative(name, cfg.PerfScale, workload.Fixed)
 				if err != nil {
 					return 0, err
 				}
@@ -694,15 +689,15 @@ func RunFigure14(cfg Config) ([]Fig14Row, error) {
 		if w.Sheriff != sheriff.OK && !force {
 			row.SheriffFailed = true
 		} else {
-			nat, err := runNative(name, scale, workload.Native, intra)
+			nat, err := runNative(name, scale, workload.Native)
 			if err != nil {
 				return err
 			}
-			det, err := runSheriff(name, scale, sheriff.Detect, force, intra)
+			det, err := runSheriff(name, scale, sheriff.Detect, force)
 			if err != nil {
 				return err
 			}
-			prot, err := runSheriff(name, scale, sheriff.Protect, force, intra)
+			prot, err := runSheriff(name, scale, sheriff.Protect, force)
 			if err != nil {
 				return err
 			}

@@ -271,28 +271,24 @@ func subNoOv(a, b int64) (int64, bool) {
 // the analysis bail out conservatively.
 type regState [NumRegs]interval
 
-func (s *regState) join(o *regState) bool {
+// join merges o into s in place and reports whether s changed. With
+// widen set, every register the merge would change goes to top instead —
+// the loop-variable hammer that guarantees fixpoint convergence after a
+// few passes while leaving loop-invariant bases (the thread's data
+// pointers) intact.
+func (s *regState) join(o *regState, widen bool) bool {
 	changed := false
 	for i := range s {
 		j := joinVal(s[i], o[i])
 		if j != s[i] {
+			if widen {
+				j = topVal
+			}
 			s[i] = j
 			changed = true
 		}
 	}
 	return changed
-}
-
-// widen forces every register that differs between the states to top —
-// the loop-variable hammer that guarantees fixpoint convergence after a
-// few passes while leaving loop-invariant bases (the thread's data
-// pointers) intact.
-func (s *regState) widen(o *regState) {
-	for i := range s {
-		if s[i] != o[i] {
-			s[i] = topVal
-		}
-	}
 }
 
 // AnalyzeSharing classifies every instruction of p for each seeded
@@ -309,11 +305,48 @@ func AnalyzeSharing(p *Program, seeds []ThreadSeed) *Sharing {
 		}
 		return sh
 	}
-	clob := clobberSets(p)
+	a := &analyzer{p: p, clob: clobberSets(p), cfgs: make(map[int]*CFG)}
 	for t, seed := range seeds {
-		sh.rows[t] = analyzeThread(p, seed, clob)
+		sh.rows[t] = a.thread(seed)
 	}
 	return sh
+}
+
+// analyzer holds the facts every thread's analysis of one program
+// shares: callee clobber sets, per-function CFGs and the opcode baseline
+// rows. Computing them once instead of per thread keeps machine
+// construction cheap.
+type analyzer struct {
+	p    *Program
+	clob map[int]*[NumRegs]bool
+	cfgs map[int]*CFG      // by function start
+	base [2][]SharingClass // baselineRow(p, noRanges), by noRanges
+
+	// Per-block dataflow buffers, reused by every function call.
+	in     []regState
+	have   []bool
+	visits []int
+}
+
+// baseline returns a fresh copy of the opcode baseline row.
+func (a *analyzer) baseline(noRanges bool) []SharingClass {
+	i := 0
+	if noRanges {
+		i = 1
+	}
+	if a.base[i] == nil {
+		a.base[i] = baselineRow(a.p, noRanges)
+	}
+	return append([]SharingClass(nil), a.base[i]...)
+}
+
+func (a *analyzer) cfg(fn Func) *CFG {
+	g := a.cfgs[fn.Start]
+	if g == nil {
+		g = BuildCFG(a.p, fn)
+		a.cfgs[fn.Start] = g
+	}
+	return g
 }
 
 // regsTooWide reports whether any instruction names a register outside
@@ -402,11 +435,12 @@ func clobberSets(p *Program) map[int]*[NumRegs]bool {
 	return sets
 }
 
-// analyzeThread produces the class row of one thread: the opcode baseline
+// thread produces the class row of one thread: the opcode baseline
 // refined, for every Load/Store reachable from the thread's entry, by the
 // interval each address register provably stays in.
-func analyzeThread(p *Program, seed ThreadSeed, clob map[int]*[NumRegs]bool) []SharingClass {
-	row := baselineRow(p, len(seed.Private) == 0)
+func (a *analyzer) thread(seed ThreadSeed) []SharingClass {
+	p := a.p
+	row := a.baseline(len(seed.Private) == 0)
 	if len(seed.Private) == 0 {
 		return row
 	}
@@ -440,7 +474,7 @@ func analyzeThread(p *Program, seed ThreadSeed, clob map[int]*[NumRegs]bool) []S
 				entry[i] = topVal
 			}
 		}
-		callees := analyzeFunc(p, fn, start, &entry, seed.Private, clob, row)
+		callees := a.function(fn, start, &entry, seed.Private, row)
 		for _, c := range callees {
 			if c.Name == entryFn.Name {
 				entryCalled = true
@@ -457,12 +491,12 @@ func analyzeThread(p *Program, seed ThreadSeed, clob map[int]*[NumRegs]bool) []S
 		// Re-analyze it with an all-top entry state and keep, per
 		// instruction, only what both analyses agree on — a disagreement
 		// degrades to the runtime check.
-		alt := baselineRow(p, false)
+		alt := a.baseline(false)
 		var top regState
 		for i := range top {
 			top[i] = topVal
 		}
-		analyzeFunc(p, entryFn, entryFn.Start, &top, seed.Private, clob, alt)
+		a.function(entryFn, entryFn.Start, &top, seed.Private, alt)
 		for i := entryFn.Start; i < entryFn.End; i++ {
 			if row[i] != alt[i] {
 				row[i] = ShareUnknown
@@ -475,11 +509,12 @@ func analyzeThread(p *Program, seed ThreadSeed, clob map[int]*[NumRegs]bool) []S
 // maxBlockVisits bounds fixpoint iteration per block before widening.
 const maxBlockVisits = 8
 
-// analyzeFunc runs the interval dataflow over one function's CFG,
-// refining row in place for the memory instructions it can decide, and
-// returns the functions it calls.
-func analyzeFunc(p *Program, fn Func, entryIdx int, entry *regState, priv []mem.Range, clob map[int]*[NumRegs]bool, row []SharingClass) []Func {
-	g := BuildCFG(p, fn)
+// function runs the interval dataflow over one function's CFG, refining
+// row in place for the memory instructions it can decide, and returns
+// the functions it calls.
+func (a *analyzer) function(fn Func, entryIdx int, entry *regState, priv []mem.Range, row []SharingClass) []Func {
+	p := a.p
+	g := a.cfg(fn)
 	if len(g.Blocks) == 0 {
 		return nil
 	}
@@ -490,9 +525,14 @@ func analyzeFunc(p *Program, fn Func, entryIdx int, entry *regState, priv []mem.
 		// runtime check).
 		return nil
 	}
-	in := make([]regState, len(g.Blocks))
-	have := make([]bool, len(g.Blocks))
-	visits := make([]int, len(g.Blocks))
+	n := len(g.Blocks)
+	if cap(a.in) < n {
+		a.in, a.have, a.visits = make([]regState, n), make([]bool, n), make([]int, n)
+	}
+	// in[b] is read only once have[b] is set, so it needs no clearing.
+	in, have, visits := a.in[:n], a.have[:n], a.visits[:n]
+	clear(have)
+	clear(visits)
 	in[entryBlock] = *entry
 	have[entryBlock] = true
 	work := []int{entryBlock}
@@ -513,7 +553,7 @@ func analyzeFunc(p *Program, fn Func, entryIdx int, entry *regState, priv []mem.
 			case OpLoad, OpStore:
 				row[i] = classifyMem(inr, &st, priv)
 			}
-			transfer(p, inr, &st, clob)
+			transfer(p, inr, &st, a.clob)
 			if inr.Op == OpCall {
 				if callee, ok := p.FuncAt(inr.Target); ok && !calleeSeen[callee.Name] {
 					calleeSeen[callee.Name] = true
@@ -525,19 +565,10 @@ func analyzeFunc(p *Program, fn Func, entryIdx int, entry *regState, priv []mem.
 			if !have[s] {
 				in[s] = st
 				have[s] = true
-				visits[s]++
-				work = append(work, s)
-				continue
-			}
-			merged := in[s]
-			if !merged.join(&st) {
+			} else if !in[s].join(&st, visits[s]+1 > maxBlockVisits) {
 				continue
 			}
 			visits[s]++
-			if visits[s] > maxBlockVisits {
-				merged.widen(&in[s])
-			}
-			in[s] = merged
 			work = append(work, s)
 		}
 	}
@@ -652,49 +683,60 @@ func StackAddrEscapes(p *Program, seeds []ThreadSeed, stacks []mem.Range) bool {
 			}
 		}
 	}
+	// One pass collects the register-to-register flows and rejects any
+	// literal stack address in the text: anyone can materialize it, so
+	// stacks are not private.
+	type flow struct{ dst, a, b Reg }
+	var flows []flow
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		switch in.Op {
+		case OpMovImm:
+			if inStack(in.Imm) {
+				return true
+			}
+		case OpMov:
+			flows = append(flows, flow{in.Rd, in.Rs1, in.Rs1})
+		case OpALU:
+			if in.UseImm {
+				if inStack(in.Imm) {
+					return true
+				}
+				flows = append(flows, flow{in.Rd, in.Rs1, in.Rs1})
+			} else {
+				flows = append(flows, flow{in.Rd, in.Rs1, in.Rs2})
+			}
+		case OpStore, OpSSBStore:
+			if in.UseImm && inStack(in.Imm) {
+				return true
+			}
+		}
+	}
+	// Taint only grows, so the stores can be checked once, against the
+	// fixpoint. Loads yield clean values under the no-escape premise.
 	for changed := true; changed; {
 		changed = false
-		for i := range p.Instrs {
-			in := &p.Instrs[i]
-			switch in.Op {
-			case OpMovImm:
-				if inStack(in.Imm) {
-					// A literal stack address in the text: anyone can
-					// materialize it, so stacks are not private.
-					return true
-				}
-			case OpMov:
-				if tainted[in.Rs1] && !tainted[in.Rd] {
-					tainted[in.Rd] = true
-					changed = true
-				}
-			case OpALU:
-				src := tainted[in.Rs1] || (!in.UseImm && tainted[in.Rs2])
-				if in.UseImm && inStack(in.Imm) {
-					return true
-				}
-				if src && !tainted[in.Rd] {
-					tainted[in.Rd] = true
-					changed = true
-				}
-			case OpStore, OpSSBStore:
-				if in.UseImm {
-					if inStack(in.Imm) {
-						return true
-					}
-				} else if tainted[in.Rs2] {
-					return true
-				}
-			case OpCAS:
-				if tainted[in.Rs2] || tainted[in.Rs3] {
-					return true
-				}
-			case OpFetchAdd:
-				if tainted[in.Rs2] {
-					return true
-				}
-			case OpLoad, OpSSBLoad:
-				// Loads yield clean values under the no-escape premise.
+		for _, f := range flows {
+			if (tainted[f.a] || tainted[f.b]) && !tainted[f.dst] {
+				tainted[f.dst] = true
+				changed = true
+			}
+		}
+	}
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		switch in.Op {
+		case OpStore, OpSSBStore:
+			if !in.UseImm && tainted[in.Rs2] {
+				return true
+			}
+		case OpCAS:
+			if tainted[in.Rs2] || tainted[in.Rs3] {
+				return true
+			}
+		case OpFetchAdd:
+			if tainted[in.Rs2] {
+				return true
 			}
 		}
 	}

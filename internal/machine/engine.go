@@ -2,20 +2,19 @@ package machine
 
 import (
 	"fmt"
-	"runtime/debug"
 	"sort"
-	"sync"
 
 	"repro/internal/coherence"
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
 
-// This file is the intra-run parallel execution engine: a second
-// scheduler that runs the simulated cores on real host threads while
-// producing byte-identical results to the serial scheduler.
+// This file is the private-segment engine: the scheduler New picks for
+// any input that declares thread-private data (see New for the rule). It
+// produces byte-identical results to the serial batch interpreter, which
+// stays the reference the equivalence tests compare against.
 //
-// The paper's own premise (§3) makes this possible: the overwhelming
+// The paper's own premise (§3) is what it exploits: the overwhelming
 // majority of instructions touch only thread-private state. The engine
 // splits execution into *local segments* — maximal runs of provably- or
 // checked-private instructions — and *global events* — shared-memory
@@ -23,20 +22,21 @@ import (
 // commute with everything other cores do: they touch only the thread's
 // registers, control flow, and cache lines no other thread ever names, so
 // their costs and side effects are independent of interleaving. The
-// engine therefore executes segments concurrently on a worker pool and
-// retires the global events serially, in exactly the serial scheduler's
+// engine therefore runs a picked core's whole segment back to back,
+// without re-entering the scheduler per instruction, and retires the
+// global events one at a time in exactly the serial scheduler's
 // lowest-clock-first order (ties to the lowest core id). Every
 // globally-visible transition — coherence traffic, HITMs, probe
-// callbacks, SSB flush transactions — happens on the scheduler goroutine
-// in that total order, which is why statistics, reports and event streams
-// come out bit-identical at any worker count.
+// callbacks, SSB flush transactions — happens in that total order, which
+// is why statistics, reports and event streams come out bit-identical.
+// Everything runs on the caller's goroutine.
 //
 // Private lines never enter the shared coherence directory. A line that
 // only one thread ever touches has a trivial MESI life: MissMemory on
 // first access, HitLocal forever after. Each thread tracks its private
 // lines in a local first-touch bitmap (privSet) and charges exactly those
 // outcomes; the directory's HITM/Upgrade machinery is provably
-// unreachable for such lines. Both the worker path and the serial
+// unreachable for such lines. Both the segment path and the serial
 // retirement path route accesses through the same line-ownership test
 // (Machine.access), so a line is accounted in exactly one place for the
 // whole run.
@@ -51,44 +51,19 @@ import (
 // (progGen == 0) and degrades to register-only segments afterwards —
 // exactly the serial scheduler's original run-ahead rule.
 type engine struct {
-	m       *Machine
-	sharing *isa.Sharing
-	priv    []*privSet // per thread; nil for threads with no private ranges
-	views   []*memView // per core
-	state   []coreState
-	workers int
-	// threshold is the predicted segment length (instructions) above
-	// which a segment is worth shipping to the worker pool instead of
-	// running inline on the scheduler goroutine.
-	threshold float64
-	validate  bool
-
-	// mu guards the shared page table while segments execute: page
-	// creation is the only structural mutation workers and the scheduler
-	// can race on (data bytes of distinct lines never overlap).
-	mu sync.Mutex
-
-	target uint64
-	jobs   chan int
-	wg     sync.WaitGroup
-
-	// fail is the first segment panic recovered on a worker, recorded by
-	// consume and returned from runFor. Only the scheduler goroutine
-	// touches it (consume runs after the worker's done send), so no lock.
-	fail error
+	m        *Machine
+	sharing  *isa.Sharing
+	priv     []*privSet // per thread; nil for threads with no private ranges
+	state    []coreState
+	validate bool
 }
-
-// defaultDispatchThreshold is the segment length, in instructions, at
-// which handing the segment to a worker beats running it inline: a
-// dispatch costs on the order of a microsecond of channel traffic and
-// wakeups, which ~500 simulated instructions amortize.
-const defaultDispatchThreshold = 512
 
 // serialStepThreshold is the predicted private-run length below which a
 // core is cheaper to drive with plain serial stepping (to the exact
 // serial-scheduler batch limit) than with segment bookkeeping: shared-
 // heavy workloads degrade to the serial scheduler's behaviour instead of
-// paying engine overhead per event.
+// paying engine overhead per event. It is also every core's starting
+// prediction, so the first segment's measured length decides.
 const serialStepThreshold = 24
 
 // probeInterval is how often (in scheduler turns) a serial-stepped core
@@ -96,54 +71,24 @@ const serialStepThreshold = 24
 // change back to private-heavy execution is noticed.
 const probeInterval = 64
 
-type segStatus uint8
-
-const (
-	// segIdle: the core needs its next local segment computed.
-	segIdle segStatus = iota
-	// segInFlight: a worker is executing the core's segment.
-	segInFlight
-	// segStopped: the segment is consumed; the core's next instruction
+type coreState struct {
+	// stopped: the core's local segment has run; its next instruction
 	// (a global event, or anything after a target boundary) has not
 	// executed yet.
-	segStopped
-)
-
-type coreState struct {
-	status segStatus
-	// fault is a panic recovered while a worker ran this core's segment;
-	// consume surfaces it as the run's failure instead of folding the
-	// (unwritten) result in.
-	fault error
+	stopped bool
 	// ema predicts the next segment's instruction count from recent
-	// history; it decides inline vs dispatched execution and adapts
-	// per-core, so a contended core degrades to serial stepping while a
-	// compute-bound sibling keeps its worker.
+	// history, per core, so a contended core degrades to serial
+	// stepping while a compute-bound sibling keeps running segments.
 	ema   float64
 	probe int
-	job   segJob
-	res   segResult
-	done  chan struct{}
 }
 
-type segJob struct {
-	t     *thread
-	clock uint64
-	hard  uint64
-	// allowMem permits private memory instructions in the segment; false
-	// once a program rewrite is installed (see the package comment).
-	allowMem bool
-}
-
-// segResult carries a segment's effects back to the scheduler. Everything
-// here is a pure sum (or the final clock), so consumption order across
-// cores cannot influence any observable.
-type segResult struct {
-	clock uint64
-	steps uint64
-	mem   uint64
-	miss  uint64 // first-touch private lines (MissMemory outcomes)
-	hit   uint64 // re-touched private lines (HitLocal outcomes)
+// resetPolicy puts every core's scheduling policy back to its starting
+// state. The policy never changes a result, only how the engine gets it.
+func (e *engine) resetPolicy() {
+	for c := range e.state {
+		e.state[c] = coreState{ema: serialStepThreshold}
+	}
 }
 
 // privRange is one line-aligned thread-private range plus the first-touch
@@ -186,9 +131,7 @@ func newPrivSet(rs []mem.Range) *privSet {
 	return ps
 }
 
-// find returns the range containing a, or nil. Only the owning thread's
-// current executor (worker or scheduler, never both) may call it — the
-// MRU index is unsynchronized by design.
+// find returns the range containing a, or nil, updating the MRU index.
 func (ps *privSet) find(a mem.Addr) *privRange {
 	if ps == nil {
 		return nil
@@ -205,7 +148,8 @@ func (ps *privSet) find(a mem.Addr) *privRange {
 	return nil
 }
 
-// contains is the read-only variant safe for cross-thread validation.
+// contains is the lookup for another thread's set: it leaves the MRU
+// index alone.
 func (ps *privSet) contains(a mem.Addr) bool {
 	if ps == nil {
 		return false
@@ -218,83 +162,9 @@ func (ps *privSet) contains(a mem.Addr) bool {
 	return false
 }
 
-// memView is a worker's window onto the shared sparse memory. Workers
-// must not touch the shared memory's lookup caches (they are
-// scheduler-owned), so each view keeps its own page cache and resolves
-// misses through the engine mutex. Page pointers are stable once created,
-// which makes the local cache safe forever.
-type memView struct {
-	m      *memory
-	mu     *sync.Mutex
-	pages  map[uint64]*[pageSize]byte
-	lastNo uint64
-	last   *[pageSize]byte
-}
-
-func newMemView(m *memory, mu *sync.Mutex) *memView {
-	return &memView{m: m, mu: mu, pages: make(map[uint64]*[pageSize]byte), lastNo: ^uint64(0)}
-}
-
-func (v *memView) page(a mem.Addr) *[pageSize]byte {
-	pn := uint64(a) >> pageShift
-	if pn == v.lastNo {
-		return v.last
-	}
-	p := v.pages[pn]
-	if p == nil {
-		v.mu.Lock()
-		p = v.m.slowPage(a)
-		v.mu.Unlock()
-		v.pages[pn] = p
-	}
-	v.lastNo, v.last = pn, p
-	return p
-}
-
-func (v *memView) load(a mem.Addr, size uint8) uint64 {
-	off := uint64(a) & (pageSize - 1)
-	if off+uint64(size) <= pageSize {
-		p := v.page(a)
-		switch size {
-		case 8:
-			return uint64(p[off]) | uint64(p[off+1])<<8 | uint64(p[off+2])<<16 | uint64(p[off+3])<<24 |
-				uint64(p[off+4])<<32 | uint64(p[off+5])<<40 | uint64(p[off+6])<<48 | uint64(p[off+7])<<56
-		case 4:
-			return uint64(p[off]) | uint64(p[off+1])<<8 | uint64(p[off+2])<<16 | uint64(p[off+3])<<24
-		case 2:
-			return uint64(p[off]) | uint64(p[off+1])<<8
-		case 1:
-			return uint64(p[off])
-		}
-	}
-	var val uint64
-	for i := uint8(0); i < size; i++ {
-		val |= uint64(v.loadByte(a+mem.Addr(i))) << (8 * i)
-	}
-	return val
-}
-
-func (v *memView) store(a mem.Addr, size uint8, val uint64) {
-	off := uint64(a) & (pageSize - 1)
-	if off+uint64(size) <= pageSize {
-		p := v.page(a)
-		for i := uint8(0); i < size; i++ {
-			p[off+uint64(i)] = byte(val >> (8 * i))
-		}
-		return
-	}
-	for i := uint8(0); i < size; i++ {
-		v.page(a + mem.Addr(i))[uint64(a+mem.Addr(i))&(pageSize-1)] = byte(val >> (8 * i))
-	}
-}
-
-func (v *memView) loadByte(a mem.Addr) byte {
-	return v.page(a)[uint64(a)&(pageSize-1)]
-}
-
-// newEngine wires the intra-run engine into a freshly built machine. The
-// caller has already decided the configuration is eligible (workers > 1,
-// multiple threads, at most one thread per core).
+// newEngine wires the engine into a freshly built machine. The caller has
+// already decided the input is eligible (declared private data, several
+// threads, at most one thread per core).
 func newEngine(m *Machine, specs []ThreadSpec) *engine {
 	threads := len(specs)
 	ranges := canonicalRanges(m.cfg.PrivateData, threads)
@@ -342,27 +212,16 @@ func newEngine(m *Machine, specs []ThreadSpec) *engine {
 	}
 
 	e := &engine{
-		m:         m,
-		sharing:   isa.AnalyzeSharing(m.prog, seeds),
-		priv:      make([]*privSet, threads),
-		views:     make([]*memView, m.cfg.Cores),
-		state:     make([]coreState, m.cfg.Cores),
-		workers:   min(m.cfg.Parallelism, threads),
-		threshold: float64(m.cfg.DispatchThreshold),
-		validate:  m.cfg.ValidateSharing,
-	}
-	if e.threshold <= 0 {
-		e.threshold = defaultDispatchThreshold
+		m:        m,
+		sharing:  isa.AnalyzeSharing(m.prog, seeds),
+		priv:     make([]*privSet, threads),
+		state:    make([]coreState, m.cfg.Cores),
+		validate: m.cfg.ValidateSharing,
 	}
 	for t := range seeds {
 		e.priv[t] = newPrivSet(seeds[t].Private)
 	}
-	for c := range e.views {
-		e.views[c] = newMemView(m.data, &e.mu)
-		e.state[c].done = make(chan struct{}, 1)
-		e.state[c].ema = e.threshold // optimistic: first segments dispatch
-	}
-	m.data.mu = &e.mu
+	e.resetPolicy()
 	return e
 }
 
@@ -435,49 +294,32 @@ func (e *engine) checkForeign(tid int, line mem.Line) {
 }
 
 // runFor is the engine's replacement for the serial scheduler loop. The
-// flow per picked core: settle an in-flight segment, honor the target and
-// cycle cap, resolve SSB-flush transaction windows, retire one global
-// event (stepOne), or compute the next local segment — dispatched to the
-// pool when the core's recent segments have been long enough to amortize
-// a dispatch, inline otherwise.
+// flow per picked core: honor the target and cycle cap, resolve SSB-flush
+// transaction windows, then either serial-step an event-dense core,
+// retire one global event (stepOne), or run the core's next local
+// segment.
 func (e *engine) runFor(target uint64) (bool, error) {
 	m := e.m
-	e.target = target
-	e.fail = nil
-	defer e.stopPool()
 	live := 0
 	for _, t := range m.threads {
 		if !t.halted {
 			live++
 		}
 	}
-	for live > 0 && e.fail == nil {
+	hard := min(target, m.cfg.MaxCycles+1)
+	for live > 0 {
 		// pickCoreAndLimit applies the serial scheduler's exact pick rule
-		// (lowest clock, ties to the lowest core id). In-flight cores
-		// participate with their dispatch-time clocks — lower bounds of
-		// their true clocks — which can only make the pick and the batch
-		// limit more conservative, never reorder an event.
+		// (lowest clock, ties to the lowest core id).
 		c, limit := m.pickCoreAndLimit(target)
 		if c < 0 {
 			break
 		}
-		st := &e.state[c]
-		if st.status == segInFlight {
-			<-st.done
-			e.consume(c)
-			continue
-		}
 		if m.clock[c] >= target {
-			e.settleAll()
 			m.finishStats()
-			return false, e.fail
+			return false, nil
 		}
 		if m.clock[c] > m.cfg.MaxCycles {
-			e.settleAll()
 			m.finishStats()
-			if e.fail != nil {
-				return false, e.fail
-			}
 			return false, ErrTimeout
 		}
 		t := m.curThread[c]
@@ -491,6 +333,7 @@ func (e *engine) runFor(target uint64) (bool, error) {
 			}
 			continue
 		}
+		st := &e.state[c]
 		// Event-dense core: private runs too short for segment
 		// bookkeeping to pay off. Drive it with the serial batch
 		// interpreter itself — same pick rule, same batch bounds — with
@@ -500,184 +343,47 @@ func (e *engine) runFor(target uint64) (bool, error) {
 		// re-measures its run length and promotes itself back.
 		if st.ema < serialStepThreshold && st.probe > 0 {
 			st.probe--
-			hard := e.target
-			if m.cfg.MaxCycles+1 < hard {
-				hard = m.cfg.MaxCycles + 1
-			}
 			if m.runBatch(t, c, limit, hard, true) {
 				live--
 			}
-			st.status = segIdle // the batch retired any pending event
+			st.stopped = false // the batch retired any pending event
 			continue
 		}
-		if st.status == segStopped {
+		if st.stopped {
 			// The next instruction is a global event (or the first
 			// instruction after a target boundary): retire exactly one
 			// instruction through the routed access path, then go back
 			// to segment mode.
-			st.status = segIdle
+			st.stopped = false
 			if m.stepOne(t, c) {
 				live--
 			}
 			continue
 		}
-		// segIdle: compute the next local segment. First overlap: ship
-		// any other idle core whose predicted segment is long enough.
-		if e.workers > 1 {
-			for _, c2 := range m.active {
-				st2 := &e.state[c2]
-				if c2 == c || st2.status != segIdle || st2.ema < e.threshold {
-					continue
-				}
-				t2 := m.curThread[c2]
-				if t2 == nil || t2.txn != nil || m.clock[c2] >= target || m.clock[c2] > m.cfg.MaxCycles {
-					continue
-				}
-				e.dispatch(c2)
-			}
-			if st.ema >= e.threshold {
-				e.dispatch(c)
-				continue
-			}
-		}
-		e.prepJob(c)
-		e.runSegment(c)
-		e.consume(c)
+		e.runSegment(t, c, hard)
 	}
-	e.settleAll()
 	m.finishStats()
-	if e.fail != nil {
-		return false, e.fail
-	}
 	return true, nil
 }
 
-func (e *engine) prepJob(c int) {
-	m := e.m
-	hard := e.target
-	if m.cfg.MaxCycles+1 < hard {
-		hard = m.cfg.MaxCycles + 1
-	}
-	e.state[c].job = segJob{
-		t:        m.curThread[c],
-		clock:    m.clock[c],
-		hard:     hard,
-		allowMem: m.progGen == 0,
-	}
-}
-
-func (e *engine) dispatch(c int) {
-	e.ensurePool()
-	e.prepJob(c)
-	e.state[c].status = segInFlight
-	e.jobs <- c
-}
-
-// consume folds a finished segment into the machine. Everything merged is
-// a pure sum (plus the core's clock), so the order cores are consumed in
-// is unobservable — the property settleAll relies on.
-func (e *engine) consume(c int) {
-	st := &e.state[c]
-	if st.fault != nil {
-		// The worker panicked mid-segment: the result was never written,
-		// so there is nothing to fold. Record the first failure; runFor
-		// settles the rest and surfaces it.
-		if e.fail == nil {
-			e.fail = st.fault
-		}
-		st.fault = nil
-		st.status = segStopped
-		return
-	}
-	m := e.m
-	m.clock[c] = st.res.clock
-	m.stats.Instructions += st.res.steps
-	m.stats.MemAccesses += st.res.mem
-	m.coh.Counts[coherence.MissMemory] += st.res.miss
-	m.coh.Counts[coherence.HitLocal] += st.res.hit
-	st.ema = (3*st.ema + float64(st.res.steps)) / 4
-	st.probe = probeInterval
-	st.status = segStopped
-}
-
-// settleAll drains every in-flight segment. Called before any state the
-// workers share with the scheduler may change underneath them: RunFor
-// exits and program hot-swaps.
-func (e *engine) settleAll() {
-	for c := range e.state {
-		if e.state[c].status == segInFlight {
-			<-e.state[c].done
-			e.consume(c)
-		}
-	}
-}
-
-func (e *engine) ensurePool() {
-	if e.jobs != nil {
-		return
-	}
-	e.jobs = make(chan int, len(e.state))
-	e.wg.Add(e.workers)
-	for i := 0; i < e.workers; i++ {
-		go func() {
-			defer e.wg.Done()
-			for c := range e.jobs {
-				e.runSegmentGuarded(c)
-				e.state[c].done <- struct{}{}
-			}
-		}()
-	}
-}
-
-// stopPool tears the worker pool down at the end of each RunFor slice, so
-// an abandoned machine never leaks goroutines. The pool is rebuilt lazily
-// on the next dispatch; short or contended slices never pay for it.
-func (e *engine) stopPool() {
-	if e.jobs == nil {
-		return
-	}
-	e.settleAll() // defensive: no exit path leaves segments in flight
-	close(e.jobs)
-	e.wg.Wait()
-	e.jobs = nil
-}
-
-// runSegmentGuarded is the worker-side wrapper around runSegment: a
-// panic inside the segment (malformed program, injected chaos fault) is
-// recovered into the core's fault slot so the worker survives to send
-// its done signal — settleAll never deadlocks, the pool always joins,
-// and the scheduler surfaces the failure as runFor's error. Inline
-// (scheduler-goroutine) segments need no guard: their panics unwind
-// through runFor's deferred stopPool into Machine.RunFor's recover.
-func (e *engine) runSegmentGuarded(c int) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.state[c].fault = &PanicError{Value: r, Stack: debug.Stack()}
-		}
-	}()
-	e.runSegment(c)
-}
-
-// runSegment executes one core's local segment: private (or
-// runtime-checked private) instructions back to back until the next
-// global event or the hard clock bound. It runs on a worker goroutine or
-// inline on the scheduler; either way it touches only the thread's own
-// state, the thread's private lines, and worker-local counters, so it
-// commutes with everything else in flight.
-func (e *engine) runSegment(c int) {
-	st := &e.state[c]
-	j := &st.job
-	t := j.t
+// runSegment executes core c's local segment: private (or
+// runtime-checked private) instructions of t back to back until the next
+// global event or the hard clock bound. It touches only the thread's own
+// state and the thread's private lines, so it commutes with everything
+// other cores do; it then folds its counts into the machine and the
+// core's run-length prediction.
+func (e *engine) runSegment(t *thread, c int, hard uint64) {
 	m := e.m
 	instrs := m.prog.Instrs
 	row := e.sharing.Row(t.id)
 	ps := e.priv[t.id]
-	view := e.views[c]
-	clk, hard := j.clock, j.hard
+	clk := m.clock[c]
 	extraInstr := m.cfg.ExtraInstrCycles
 	extraLoad := m.cfg.ExtraLoadCycles
 	priv := m.cfg.PrivateMemory
-	allowMem := j.allowMem
+	// Private memory instructions run in segments only while the
+	// original program is installed (see the file comment).
+	allowMem := m.progGen == 0
 	var steps, memAcc, miss, hit uint64
 loop:
 	for clk < hard {
@@ -735,7 +441,7 @@ loop:
 				cost += CostMemHitLocal + extraLoad
 			}
 			memAcc++
-			t.regs[in.Rd] = int64(view.load(addr, in.Size))
+			t.regs[in.Rd] = int64(m.data.load(addr, in.Size))
 		case isa.OpStore:
 			if !allowMem {
 				break loop
@@ -766,7 +472,7 @@ loop:
 				cost += CostMemHitLocal
 			}
 			memAcc++
-			view.store(addr, in.Size, v)
+			m.data.store(addr, in.Size, v)
 		case isa.OpBranch:
 			b := t.regs[in.Rs2]
 			if in.UseImm {
@@ -803,7 +509,15 @@ loop:
 		steps++
 		t.pc = next
 	}
-	st.res = segResult{clock: clk, steps: steps, mem: memAcc, miss: miss, hit: hit}
+	m.clock[c] = clk
+	m.stats.Instructions += steps
+	m.stats.MemAccesses += memAcc
+	m.coh.Counts[coherence.MissMemory] += miss
+	m.coh.Counts[coherence.HitLocal] += hit
+	st := &e.state[c]
+	st.ema = (3*st.ema + float64(steps)) / 4
+	st.probe = probeInterval
+	st.stopped = true
 }
 
 // stepOne executes exactly one instruction of t on core c — the engine's

@@ -22,9 +22,10 @@ func contendedPrivate() [][]mem.Range {
 	return out
 }
 
-// runEngines runs the same program serially and under the parallel engine
-// at several worker counts, and demands bit-identical statistics,
-// coherence counters, HITM ground truth, and sampled memory.
+// runEngines runs the same program under the serial reference (the same
+// configuration with PrivateData nil) and under the private-segment
+// engine with sharing validation on, and demands bit-identical
+// statistics, coherence counters, HITM ground truth, and sampled memory.
 func runEngines(t *testing.T, prog *isa.Program, specs []ThreadSpec, cfg Config, sample []mem.Addr) {
 	t.Helper()
 	type outcome struct {
@@ -32,14 +33,10 @@ func runEngines(t *testing.T, prog *isa.Program, specs []ThreadSpec, cfg Config,
 		counts [7]uint64
 		mem    []uint64
 	}
-	run := func(par, threshold int) outcome {
-		c := cfg
-		c.Parallelism = par
-		c.DispatchThreshold = threshold
-		c.ValidateSharing = true
+	run := func(c Config, engine bool) outcome {
 		m := New(prog, c, specs)
-		if par > 1 && !m.IntraRunParallel() {
-			t.Fatalf("parallel engine not engaged at Parallelism=%d", par)
+		if m.IntraRunParallel() != engine {
+			t.Fatalf("engine engaged = %v, want %v", m.IntraRunParallel(), engine)
 		}
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -55,41 +52,51 @@ func runEngines(t *testing.T, prog *isa.Program, specs []ThreadSpec, cfg Config,
 		}
 		return o
 	}
-	want := run(1, 0)
-	for _, par := range []int{2, 3, 8} {
-		// Threshold 1 forces every segment through the worker pool;
-		// threshold 0 (default) exercises the adaptive inline path.
-		for _, threshold := range []int{1, 0} {
-			got := run(par, threshold)
-			if want.st.Cycles != got.st.Cycles || want.st.Instructions != got.st.Instructions ||
-				want.st.MemAccesses != got.st.MemAccesses {
-				t.Fatalf("par=%d thr=%d: cycles/instr/mem = %d/%d/%d, want %d/%d/%d",
-					par, threshold, got.st.Cycles, got.st.Instructions, got.st.MemAccesses,
-					want.st.Cycles, want.st.Instructions, want.st.MemAccesses)
-			}
-			if !reflect.DeepEqual(want.st.CoreCycles, got.st.CoreCycles) {
-				t.Fatalf("par=%d thr=%d: core cycles %v, want %v", par, threshold, got.st.CoreCycles, want.st.CoreCycles)
-			}
-			if want.counts != got.counts {
-				t.Fatalf("par=%d thr=%d: coherence counts %v, want %v", par, threshold, got.counts, want.counts)
-			}
-			if !reflect.DeepEqual(want.st.HITMByPC, got.st.HITMByPC) {
-				t.Fatalf("par=%d thr=%d: HITMByPC diverged", par, threshold)
-			}
-			if want.st.Flushes != got.st.Flushes || want.st.SSBStores != got.st.SSBStores ||
-				want.st.Commits != got.st.Commits || want.st.ProbeCycles != got.st.ProbeCycles {
-				t.Fatalf("par=%d thr=%d: SSB/commit/probe stats diverged: %+v vs %+v", par, threshold, got.st, want.st)
-			}
-			if !reflect.DeepEqual(want.mem, got.mem) {
-				t.Fatalf("par=%d thr=%d: final memory diverged", par, threshold)
-			}
-		}
+	serial := cfg
+	serial.PrivateData = nil
+	want := run(serial, false)
+	cfg.ValidateSharing = true
+	got := run(cfg, true)
+	if want.st.Cycles != got.st.Cycles || want.st.Instructions != got.st.Instructions ||
+		want.st.MemAccesses != got.st.MemAccesses {
+		t.Fatalf("cycles/instr/mem = %d/%d/%d, want %d/%d/%d",
+			got.st.Cycles, got.st.Instructions, got.st.MemAccesses,
+			want.st.Cycles, want.st.Instructions, want.st.MemAccesses)
 	}
+	if !reflect.DeepEqual(want.st.CoreCycles, got.st.CoreCycles) {
+		t.Fatalf("core cycles %v, want %v", got.st.CoreCycles, want.st.CoreCycles)
+	}
+	if want.counts != got.counts {
+		t.Fatalf("coherence counts %v, want %v", got.counts, want.counts)
+	}
+	if !reflect.DeepEqual(want.st.HITMByPC, got.st.HITMByPC) {
+		t.Fatalf("HITMByPC diverged")
+	}
+	if want.st.Flushes != got.st.Flushes || want.st.SSBStores != got.st.SSBStores ||
+		want.st.Commits != got.st.Commits || want.st.ProbeCycles != got.st.ProbeCycles {
+		t.Fatalf("SSB/commit/probe stats diverged: %+v vs %+v", got.st, want.st)
+	}
+	if !reflect.DeepEqual(want.mem, got.mem) {
+		t.Fatalf("final memory diverged")
+	}
+}
+
+// untouchedPrivate declares one line-aligned heap range per thread that
+// the program never names: it selects the engine without declaring any
+// data the program uses, so the test exercises the stack analysis and
+// the segment machinery alone.
+func untouchedPrivate(threads int) [][]mem.Range {
+	out := make([][]mem.Range, threads)
+	for i := range out {
+		base := mem.HeapBase + 0x100000 + mem.Addr(i)<<12
+		out[i] = []mem.Range{{Start: base, End: base + 0x1000}}
+	}
+	return out
 }
 
 // TestEngineEquivalenceContended: the scheduler test workload — private
 // streaming plus a falsely shared line — must come out identical under
-// the parallel engine at any worker count.
+// the engine.
 func TestEngineEquivalenceContended(t *testing.T) {
 	prog, specs := contendedProg(3000)
 	var sample []mem.Addr
@@ -142,7 +149,7 @@ func TestEngineEquivalencePrivateHeavy(t *testing.T) {
 }
 
 // TestEngineStackPrivate: SP-relative traffic must be recognized as
-// private via the stack-escape analysis (no declared ranges at all).
+// private via the stack-escape analysis (no declared range covers it).
 func TestEngineStackPrivate(t *testing.T) {
 	b := isa.NewBuilder().At("stack.c", 1)
 	b.Func("worker")
@@ -167,21 +174,28 @@ func TestEngineStackPrivate(t *testing.T) {
 	for i := range specs {
 		specs[i] = ThreadSpec{Regs: map[isa.Reg]int64{0: int64(mem.HeapBase)}}
 	}
-	runEngines(t, prog, specs, Config{Cores: 3}, []mem.Addr{mem.HeapBase, mem.HeapBase + 8})
+	cfg := Config{Cores: 3, PrivateData: untouchedPrivate(3)}
+	runEngines(t, prog, specs, cfg, []mem.Addr{mem.HeapBase, mem.HeapBase + 8})
+	if n := len(New(prog, cfg, specs).eng.priv[0].ranges); n != 2 {
+		t.Fatalf("thread 0 has %d private ranges, want the declared one plus its stack", n)
+	}
 }
 
-// TestEngineSliceInvariance: chopping a parallel-engine run into RunFor
-// slices must reproduce the uninterrupted run exactly, as the LASER
-// polling harness requires.
+// TestEngineSliceInvariance: chopping an engine run into RunFor slices
+// must reproduce the uninterrupted serial reference exactly, as the
+// LASER polling harness requires.
 func TestEngineSliceInvariance(t *testing.T) {
 	prog, specs := contendedProg(2000)
-	cfg := Config{Cores: 4, Parallelism: 4, DispatchThreshold: 1, PrivateData: contendedPrivate()}
-	whole := New(prog, cfg, specs)
+	cfg := Config{Cores: 4, PrivateData: contendedPrivate()}
+	whole := New(prog, Config{Cores: 4}, specs)
 	wst, err := whole.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	sliced := New(prog, cfg, specs)
+	if !sliced.IntraRunParallel() {
+		t.Fatal("engine not engaged")
+	}
 	var target uint64
 	for {
 		target += 10_000
@@ -233,8 +247,13 @@ func TestEngineSheriffMode(t *testing.T) {
 			2: int64(mem.HeapBase + 0x8000 + mem.Addr(i)*0x1000),
 		}}
 	}
+	priv := make([][]mem.Range, 4)
+	for i := range priv {
+		base := mem.HeapBase + 0x8000 + mem.Addr(i)*0x1000
+		priv[i] = []mem.Range{{Start: base, End: base + 0x1000}}
+	}
 	var commits uint64
-	cfg := Config{Cores: 4, PrivateMemory: true,
+	cfg := Config{Cores: 4, PrivateMemory: true, PrivateData: priv,
 		OnCommit: func(tid int, writes []LineWrite, now uint64) uint64 { commits++; return 100 }}
 	runEngines(t, prog, specs, cfg, []mem.Addr{mem.HeapBase})
 	if commits == 0 {
@@ -246,8 +265,8 @@ func TestEngineSheriffMode(t *testing.T) {
 // that misses the thread's own overlay observes other threads' commits —
 // it must retire in the global serial order, never inside a segment. The
 // regression here is a spin-wait on a flag another thread publishes at a
-// commit point: treating the spin load as thread-local spins the worker
-// to the cycle cap (and races with the committing scheduler).
+// commit point: treating the spin load as thread-local spins the segment
+// to the cycle cap.
 func TestEngineSheriffMessagePassing(t *testing.T) {
 	b := isa.NewBuilder().At("mp.c", 1)
 	b.Func("producer")
@@ -267,7 +286,7 @@ func TestEngineSheriffMessagePassing(t *testing.T) {
 		{Entry: 0, Regs: map[isa.Reg]int64{0: int64(mem.HeapBase)}},
 		{Entry: prog.Funcs[1].Start, Regs: map[isa.Reg]int64{0: int64(mem.HeapBase)}},
 	}
-	cfg := Config{Cores: 2, PrivateMemory: true, MaxCycles: 1 << 30}
+	cfg := Config{Cores: 2, PrivateMemory: true, MaxCycles: 1 << 30, PrivateData: untouchedPrivate(2)}
 	runEngines(t, prog, specs, cfg, []mem.Addr{mem.HeapBase})
 }
 
@@ -361,7 +380,7 @@ func randomEngineProg(r *rand.Rand) (*isa.Program, []ThreadSpec, [][]mem.Range, 
 
 // TestEngineEquivalenceRandomPrograms is the cross-engine property test:
 // random structured programs must produce identical results under the
-// serial scheduler and the parallel engine at several worker counts.
+// serial scheduler and the engine.
 func TestEngineEquivalenceRandomPrograms(t *testing.T) {
 	n := 20
 	if testing.Short() {
@@ -376,22 +395,26 @@ func TestEngineEquivalenceRandomPrograms(t *testing.T) {
 	}
 }
 
-// TestEngineFallbacks: configurations the engine does not support must
-// silently run serial.
+// TestEngineFallbacks pins the selection rule: no declared private data
+// means serial, and so does more than one thread per core.
 func TestEngineFallbacks(t *testing.T) {
 	prog, specs := contendedProg(10)
+	if m := New(prog, Config{Cores: 4}, specs); m.IntraRunParallel() {
+		t.Fatal("engine engaged without declared private data")
+	}
+	if m := New(prog, Config{Cores: 4, PrivateData: [][]mem.Range{nil, {}}}, specs); m.IntraRunParallel() {
+		t.Fatal("engine engaged on declarations without a range")
+	}
 	// More threads than cores: quantum switching forces the serial path.
-	m := New(prog, Config{Cores: 2, Parallelism: 4}, specs)
+	m := New(prog, Config{Cores: 2, PrivateData: contendedPrivate()}, specs)
 	if m.IntraRunParallel() {
 		t.Fatal("engine must not engage with multiple threads per core")
 	}
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Parallelism <= 1 is the serial scheduler.
-	m = New(prog, Config{Cores: 4}, specs)
-	if m.IntraRunParallel() {
-		t.Fatal("engine engaged without Parallelism")
+	if m := New(prog, Config{Cores: 4, PrivateData: contendedPrivate()}, specs); !m.IntraRunParallel() {
+		t.Fatal("engine not engaged on declared private data, one thread per core")
 	}
 }
 
@@ -408,7 +431,7 @@ func TestEngineOverlapPanics(t *testing.T) {
 		{{Start: mem.HeapBase, End: mem.HeapBase + 128}},
 		{{Start: mem.HeapBase + 64, End: mem.HeapBase + 256}},
 	}
-	New(prog, Config{Cores: 4, Parallelism: 2, PrivateData: decl}, specs)
+	New(prog, Config{Cores: 4, PrivateData: decl}, specs)
 }
 
 // TestEngineValidateSharingCatchesLies: a deliberately false privacy
@@ -420,8 +443,7 @@ func TestEngineValidateSharingCatchesLies(t *testing.T) {
 	// Declare the *shared* line private to thread 0 — threads 1..3 hit it
 	// every iteration.
 	decl := [][]mem.Range{{{Start: mem.HeapBase, End: mem.HeapBase + 64}}}
-	m := New(prog, Config{Cores: 4, Parallelism: 4, DispatchThreshold: 1,
-		PrivateData: decl, ValidateSharing: true}, specs)
+	m := New(prog, Config{Cores: 4, PrivateData: decl, ValidateSharing: true}, specs)
 	_, err := m.Run()
 	var pe *PanicError
 	if !errors.As(err, &pe) {

@@ -13,7 +13,7 @@ import (
 // it, and the call frame is measurable there) — any change to the
 // sequence below must be mirrored in both arms.
 func (m *Machine) access(t *thread, c int, in *isa.Instr, addr mem.Addr, write bool) uint64 {
-	// Under the intra-run parallel engine, lines private to the
+	// Under the private-segment engine, lines private to the
 	// executing thread never enter the shared directory; the engine
 	// charges their (trivial, single-owner) MESI outcomes from the
 	// thread-local first-touch table instead, on every path — segments

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 
 	"repro/internal/coherence"
 	"repro/internal/isa"
@@ -71,29 +72,18 @@ type Config struct {
 	// practical limit). Runs that hit the cap return ErrTimeout.
 	MaxCycles uint64
 
-	// Parallelism > 1 enables the intra-run parallel execution engine:
-	// up to that many simulated cores execute their private instruction
-	// stretches concurrently on host threads, while all globally-visible
-	// events retire serially in the exact serial-scheduler order. The
-	// results — statistics, HITM ground truth, probe callbacks — are
-	// byte-identical to the serial engine at any worker count. 0 or 1
-	// selects the serial scheduler. The engine requires at most one
-	// thread per core; other configurations fall back to serial.
-	Parallelism int
 	// PrivateData lists, per thread id, heap ranges only that thread
 	// ever touches (per-thread slices of shared allocations, private
-	// arenas). The sharing analysis and the parallel engine treat these
-	// lines — plus the thread stacks, when stack addresses provably do
-	// not escape — as thread-private. Declaring a range another thread
-	// in fact touches is a construction bug; enable ValidateSharing in
-	// tests to catch it.
+	// arenas). Declaring at least one range selects the private-segment
+	// engine (see New), which treats these lines — plus the thread
+	// stacks, when stack addresses provably do not escape — as
+	// thread-private. Declaring a range another thread in fact touches
+	// is a construction bug; enable ValidateSharing in tests to catch
+	// it.
 	PrivateData [][]mem.Range
-	// DispatchThreshold overrides the engine's inline-vs-worker segment
-	// length cutoff, in instructions (0 = default). Tests lower it to
-	// force worker-pool traffic on tiny programs.
-	DispatchThreshold int
-	// ValidateSharing makes the parallel engine panic when any thread
-	// touches a line inside another thread's declared private ranges.
+	// ValidateSharing makes the private-segment engine panic when any
+	// thread touches a line inside another thread's declared private
+	// ranges.
 	ValidateSharing bool
 }
 
@@ -104,8 +94,8 @@ var ErrTimeout = errors.New("machine: cycle limit exceeded")
 // a malformed program (unknown opcode, ret on an empty call stack), an
 // interpreter bug, or an injected chaos fault. Run and RunFor convert
 // such panics into a *PanicError return instead of unwinding into the
-// caller, with every engine worker goroutine already joined; the
-// machine itself is left in an undefined state and must be discarded.
+// caller; the machine itself is left in an undefined state and must be
+// discarded.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
@@ -226,8 +216,8 @@ type Machine struct {
 	// instructions, and a Go map assign there is measurably expensive.
 	hitmPCs pcCounts
 
-	// eng is the intra-run parallel execution engine, nil under the
-	// serial scheduler (see parallel.go).
+	// eng is the private-segment engine, nil under the serial batch
+	// interpreter (see engine.go).
 	eng *engine
 
 	stats Stats
@@ -346,12 +336,14 @@ func New(prog *isa.Program, cfg Config, specs []ThreadSpec) *Machine {
 			m.curThread[c] = m.threads[m.runq[c][m.cur[c]]]
 		}
 	}
-	// The intra-run parallel engine: only worthwhile (and only
-	// implemented) for the one-thread-per-core shape every evaluation
-	// run uses — with several threads per core, quantum context switches
-	// would interleave probe callbacks with segment consumption in an
-	// order the serial scheduler cannot reproduce.
-	if cfg.Parallelism > 1 && cfg.Cores > 1 && len(specs) > 1 && len(specs) <= cfg.Cores {
+	// The private-segment engine runs every input that declares
+	// thread-private data in the one-thread-per-core shape every
+	// evaluation run uses. With several threads per core, quantum
+	// context switches would interleave probe callbacks with segments in
+	// an order the serial scheduler cannot reproduce; without declared
+	// data there is little private work for segments to batch.
+	declared := slices.ContainsFunc(cfg.PrivateData, func(rs []mem.Range) bool { return len(rs) > 0 })
+	if declared && cfg.Cores > 1 && len(specs) > 1 && len(specs) <= cfg.Cores {
 		m.eng = newEngine(m, specs)
 	}
 	return m
@@ -375,14 +367,6 @@ func (m *Machine) Program() *isa.Program { return m.prog }
 // be defined for every index a thread might be stopped at. Any active SSB
 // is flushed through the fallback path first.
 func (m *Machine) SetProgram(p *isa.Program, remap func(int) int) {
-	// Any in-flight local segments retired instructions of the old
-	// program; settle them before thread state is remapped underneath
-	// them. (Mid-run swaps only happen via alias-miss callbacks, which
-	// only exist in already-rewritten code — by then the engine has
-	// stopped running memory instructions in segments, see parallel.go.)
-	if m.eng != nil {
-		m.eng.settleAll()
-	}
 	for _, t := range m.threads {
 		if t.ssb != nil && t.ssb.Active() {
 			m.applySSB(t, t.id%m.cfg.Cores)
@@ -406,10 +390,10 @@ func (m *Machine) SetProgram(p *isa.Program, remap func(int) int) {
 // Stats returns the statistics collected so far.
 func (m *Machine) Stats() *Stats { return &m.stats }
 
-// IntraRunParallel reports whether the intra-run parallel engine is
-// driving this machine (Config.Parallelism > 1 on an eligible
-// configuration). Tests assert it to make sure equivalence runs actually
-// exercise the engine.
+// IntraRunParallel reports whether the private-segment engine drives this
+// machine (declared private data on an eligible configuration, see New).
+// Tests assert it to make sure equivalence runs actually exercise the
+// engine.
 func (m *Machine) IntraRunParallel() bool { return m.eng != nil }
 
 // CheckCoherence verifies the MESI invariants of the machine's coherence
@@ -444,8 +428,8 @@ func (m *Machine) Run() (*Stats, error) {
 //
 // A panic raised while executing — malformed program, interpreter bug,
 // injected chaos fault — is contained: RunFor recovers it and returns a
-// *PanicError with all engine worker goroutines joined, so a panicking
-// workload cannot tear down the evaluation process or leak goroutines.
+// *PanicError, so a panicking workload cannot tear down the evaluation
+// process.
 func (m *Machine) RunFor(target uint64) (done bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -525,7 +509,7 @@ func (m *Machine) RunFor(target uint64) (done bool, err error) {
 // run-ahead. The table lives in the isa package now (isa.LocalOps): it is
 // the per-opcode core of the static sharing analysis, which generalizes
 // this run-ahead check into the per-(thread, PC) classification the
-// intra-run parallel engine schedules whole segments with.
+// private-segment engine schedules whole segments with.
 var opLocal = isa.LocalOps
 
 // pickCoreAndLimit scans the active cores once and returns both the
@@ -634,9 +618,8 @@ func (m *Machine) switchThread(c int) {
 // not per instruction, with the instruction fetch, clock slot and config
 // dilations held in locals.
 //
-// routed forces loads and stores through the memLoad/memStore wrappers so
-// the intra-run parallel engine's private-line routing applies; the
-// serial scheduler passes false and keeps the inlined fast path. The
+// routed sends loads and stores through the private-segment engine's
+// private-line tables first; the serial scheduler passes false. The
 // retirement semantics are identical either way.
 func (m *Machine) runBatch(t *thread, c int, limit, hard uint64, routed bool) bool {
 	instrs := m.prog.Instrs

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"encoding/binary"
-	"sync"
 
 	"repro/internal/mem"
 )
@@ -40,15 +39,6 @@ type memory struct {
 	prevPage    *[pageSize]byte
 	lastChunkNo uint64
 	lastChunk   *pageChunk
-
-	// mu, when set (intra-run parallel engine active), serializes the
-	// page-table slow path: worker goroutines resolve and create pages
-	// concurrently with the scheduler. The cache fields above stay
-	// scheduler-owned (workers keep their own caches in memView), and
-	// page pointers are stable once created, so only the chunk map and
-	// page-slot writes need the lock. The cache-hit fast paths remain
-	// lock-free.
-	mu *sync.Mutex
 }
 
 func newMemory() *memory {
@@ -72,18 +62,6 @@ func (m *memory) page(a mem.Addr, create bool) *[pageSize]byte {
 		m.prevPage, m.lastPage = m.lastPage, m.prevPage
 		return m.lastPage
 	}
-	if m.mu != nil {
-		// Parallel engine active: worker goroutines may be creating
-		// pages under the same lock right now.
-		m.mu.Lock()
-		p := m.pageSlow(pn, create)
-		m.mu.Unlock()
-		if p != nil {
-			m.prevPageNo, m.prevPage = m.lastPageNo, m.lastPage
-			m.lastPageNo, m.lastPage = pn, p
-		}
-		return p
-	}
 	p := m.pageSlow(pn, create)
 	if p != nil {
 		m.prevPageNo, m.prevPage = m.lastPageNo, m.lastPage
@@ -92,9 +70,7 @@ func (m *memory) page(a mem.Addr, create bool) *[pageSize]byte {
 	return p
 }
 
-// pageSlow is the chunk-index walk behind the page caches. With the
-// parallel engine active the caller holds m.mu; the chunk cache fields it
-// updates remain scheduler-owned either way (workers never call it).
+// pageSlow is the chunk-index walk behind the page caches.
 func (m *memory) pageSlow(pn uint64, create bool) *[pageSize]byte {
 	cn := pn >> chunkBits
 	ch := m.lastChunk
@@ -115,25 +91,6 @@ func (m *memory) pageSlow(pn uint64, create bool) *[pageSize]byte {
 		if !create {
 			return nil
 		}
-		p = new([pageSize]byte)
-		ch[pn&chunkMask] = p
-	}
-	return p
-}
-
-// slowPage resolves (creating on demand) the page containing a without
-// touching any cache field; memView calls it under the engine mutex from
-// worker goroutines.
-func (m *memory) slowPage(a mem.Addr) *[pageSize]byte {
-	pn := uint64(a) >> pageShift
-	cn := pn >> chunkBits
-	ch := m.chunks[cn]
-	if ch == nil {
-		ch = new(pageChunk)
-		m.chunks[cn] = ch
-	}
-	p := ch[pn&chunkMask]
-	if p == nil {
 		p = new([pageSize]byte)
 		ch[pn&chunkMask] = p
 	}

@@ -69,7 +69,7 @@ func (s *SSB) Get(addr mem.Addr, size uint8, backing func(mem.Addr) byte) (v uin
 }
 
 // GetLocal assembles a load only when every requested byte is buffered,
-// reporting ok=false otherwise. The intra-run parallel engine uses it
+// reporting ok=false otherwise. The private-segment engine uses it
 // for private-memory (Sheriff) execution: a full-hit load is provably
 // thread-local, while any byte served from shared memory could observe
 // another thread's commit and must retire in the global serial order.

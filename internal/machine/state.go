@@ -2,10 +2,9 @@ package machine
 
 // Serializable whole-machine snapshots, for the durable session layer.
 // CaptureState is only meaningful when the machine is stopped at a
-// RunFor boundary: the intra-run parallel engine settles every in-flight
-// segment before RunFor returns, so at a boundary the threads, clocks,
-// memory and coherence directory are exactly the serial scheduler's
-// state. RestoreState is designed for a machine freshly constructed
+// RunFor boundary: there the threads, clocks, memory and coherence
+// directory are exactly the serial scheduler's state under either
+// engine. RestoreState is designed for a machine freshly constructed
 // from the same program/config/thread specs (the session layer rebuilds
 // the machine from the workload image, then overwrites it with the
 // snapshot); every captured field is restored exactly, so a restored
@@ -60,8 +59,8 @@ type PCCount struct {
 }
 
 // PrivRangeState is one thread-private range's first-touch bitmap from
-// the intra-run parallel engine (the only semantic engine state; the
-// dispatch heuristics are policy and deliberately not captured).
+// the private-segment engine (the only semantic engine state; the
+// per-core scheduling policy is deliberately not captured).
 type PrivRangeState struct {
 	Start, End mem.Addr
 	Bits       []uint64
@@ -73,7 +72,7 @@ type PrivRangeState struct {
 // same simulated state capture byte-identical gob encodings.
 type State struct {
 	Cores      int
-	Parallel   bool // intra-run engine active at capture
+	Parallel   bool // private-segment engine active at capture
 	Threads    []ThreadState
 	Pages      []PageState
 	RunQ       [][]int
@@ -168,8 +167,7 @@ func (m *memory) capturePages() []PageState {
 	return out
 }
 
-// reset drops every page and lookup cache, preserving the engine's
-// page-table lock wiring.
+// reset drops every page and lookup cache.
 func (m *memory) reset() {
 	m.chunks = make(map[uint64]*pageChunk)
 	m.lastPageNo = ^uint64(0)
@@ -193,8 +191,7 @@ func (m *memory) restorePages(pages []PageState) error {
 }
 
 // CaptureState snapshots the machine. Only valid while the machine is
-// stopped at a RunFor boundary (no segments in flight, no goroutine
-// touching it).
+// stopped at a RunFor boundary.
 func (m *Machine) CaptureState() *State {
 	m.finishStats()
 	st := &State{
@@ -269,7 +266,7 @@ func (m *Machine) RestoreState(st *State) error {
 		return fmt.Errorf("machine: snapshot has %d threads, machine has %d", len(st.Threads), len(m.threads))
 	}
 	if st.Parallel != (m.eng != nil) {
-		return fmt.Errorf("machine: snapshot parallel=%v, machine parallel=%v (intra-run engine state is not portable across engines)",
+		return fmt.Errorf("machine: snapshot parallel=%v, machine parallel=%v (private-segment engine state is not portable across engines)",
 			st.Parallel, m.eng != nil)
 	}
 	if len(st.RunQ) != len(m.runq) || len(st.Cur) != len(m.cur) ||
@@ -349,20 +346,7 @@ func (m *Machine) RestoreState(st *State) error {
 		if err := m.eng.restorePrivBits(st.PrivBits); err != nil {
 			return err
 		}
-		// Worker page caches may hold pointers into the pre-restore page
-		// table; drop them (pointers are stable only within one table).
-		for _, v := range m.eng.views {
-			v.pages = make(map[uint64]*[pageSize]byte)
-			v.lastNo = ^uint64(0)
-			v.last = nil
-		}
-		// Dispatch heuristics are policy-only (results are byte-identical
-		// on every path); start them from the constructor's state.
-		for c := range m.eng.state {
-			m.eng.state[c].status = segIdle
-			m.eng.state[c].ema = m.eng.threshold
-			m.eng.state[c].probe = 0
-		}
+		m.eng.resetPolicy()
 	}
 	m.finishStats()
 	return nil

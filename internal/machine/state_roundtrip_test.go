@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/baseline/sheriff"
 	"repro/internal/machine"
+	"repro/internal/mem"
 	"repro/internal/workload"
 )
 
@@ -29,14 +30,18 @@ func TestMachineSnapshotRoundTripSheriff(t *testing.T) {
 		}
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			for _, par := range []int{1, 3} {
-				par := par
+			// The serial reference (no declared private data), then the
+			// private-segment engine.
+			for _, engine := range []bool{false, true} {
 				img := w.Build(workload.Options{Scale: scale})
+				var priv [][]mem.Range
+				if engine {
+					priv = img.PrivateRanges()
+				}
 				newMachine := func(det *sheriff.Detector) *machine.Machine {
 					m := machine.New(img.Prog, machine.Config{
 						Cores: 4, PrivateMemory: true, OnCommit: det.OnCommit,
-						MaxCycles: 1 << 38, Parallelism: par,
-						PrivateData: img.PrivateRanges(),
+						MaxCycles: 1 << 38, PrivateData: priv,
 					}, img.Specs)
 					img.Init(m)
 					return m
@@ -59,7 +64,9 @@ func TestMachineSnapshotRoundTripSheriff(t *testing.T) {
 				// complete the run — halve until the cut is mid-run.
 				h := fnv.New32a()
 				h.Write([]byte(w.Name))
-				h.Write([]byte{byte(par)})
+				if engine {
+					h.Write([]byte{1})
+				}
 				target := uint64(h.Sum32())%statsA.Cycles + 1
 
 				var mB *machine.Machine
@@ -92,13 +99,13 @@ func TestMachineSnapshotRoundTripSheriff(t *testing.T) {
 				finalC := mC.CaptureState()
 
 				if !reflect.DeepEqual(statsA, statsC) {
-					t.Fatalf("par %d: stats diverged after restore:\nreference: %+v\nrestored:  %+v", par, statsA, statsC)
+					t.Fatalf("engine %v: stats diverged after restore:\nreference: %+v\nrestored:  %+v", engine, statsA, statsC)
 				}
 				if !reflect.DeepEqual(detA.Findings(), detB.Findings()) {
-					t.Fatalf("par %d: sheriff findings diverged:\n%v\nvs\n%v", par, detA.Findings(), detB.Findings())
+					t.Fatalf("engine %v: sheriff findings diverged:\n%v\nvs\n%v", engine, detA.Findings(), detB.Findings())
 				}
 				if !reflect.DeepEqual(finalA, finalC) {
-					t.Fatalf("par %d: final machine snapshots diverged", par)
+					t.Fatalf("engine %v: final machine snapshots diverged", engine)
 				}
 			}
 		})

@@ -102,7 +102,6 @@ type AttachOptions struct {
 	RepairRateThreshold  *float64 `json:"repair_rate_threshold,omitempty"`
 	Repair               *bool    `json:"repair,omitempty"`
 	PostRepairMonitoring *bool    `json:"post_repair_monitoring,omitempty"`
-	IntraRunParallelism  *int     `json:"intra_run_parallelism,omitempty"`
 	SpeculativeRepair    *bool    `json:"speculative_repair,omitempty"`
 	TrialBudget          *uint64  `json:"trial_budget,omitempty"`
 }
@@ -226,9 +225,6 @@ func (r *AttachRequest) SessionOptions(budget uint64) ([]laser.Option, uint64) {
 	}
 	if o.PostRepairMonitoring != nil {
 		opts = append(opts, laser.WithPostRepairMonitoring(*o.PostRepairMonitoring))
-	}
-	if o.IntraRunParallelism != nil {
-		opts = append(opts, laser.WithIntraRunParallelism(*o.IntraRunParallelism))
 	}
 	if o.SpeculativeRepair != nil {
 		opts = append(opts, laser.WithSpeculativeRepair(*o.SpeculativeRepair))

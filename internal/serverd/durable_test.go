@@ -325,10 +325,10 @@ func TestDurableCheckpointPinsCodeVersion(t *testing.T) {
 
 // TestAttachRecordIgnoresRetiredOptions: attach.json journals written by
 // older daemons may carry attach options that no longer exist
-// ("segment_jit"); recovery must still decode them and replay the
-// options that remain.
+// ("segment_jit", "intra_run_parallelism"); recovery must still decode
+// them and replay the options that remain.
 func TestAttachRecordIgnoresRetiredOptions(t *testing.T) {
-	raw := `{"request":{"workload":"histogram'","scale":0.1,"options":{"seed":7,"segment_jit":true}},"max_cycles":1000,"created_unix":1}`
+	raw := `{"request":{"workload":"histogram'","scale":0.1,"options":{"seed":7,"segment_jit":true,"intra_run_parallelism":4}},"max_cycles":1000,"created_unix":1}`
 	var rec attachRecord
 	if err := json.Unmarshal([]byte(raw), &rec); err != nil {
 		t.Fatalf("attach record with a retired option rejected: %v", err)

@@ -247,10 +247,10 @@ func (h *hosted) stepLocked() (done bool) {
 // cycle budget bounds it — and always released.
 func (h *hosted) runLoop() {
 	defer h.srv.wg.Done()
-	defer h.srv.met.runsPending.Dec()
 	select {
 	case <-h.srv.workers:
 	case <-h.srv.shutdown:
+		h.srv.met.runsPending.Dec()
 		h.mu.Lock()
 		if h.state == stateRunning {
 			h.state = statePaused
@@ -260,10 +260,15 @@ func (h *hosted) runLoop() {
 		return
 	}
 	h.srv.met.workersBusy.Inc()
-	defer func() {
+	// release frees the worker slot and retires the run. A finished run
+	// calls it before unlocking the session, so nobody observes a done
+	// session still holding a slot; every other exit runs it on return.
+	release := sync.OnceFunc(func() {
 		h.srv.met.workersBusy.Dec()
 		h.srv.workers <- struct{}{}
-	}()
+		h.srv.met.runsPending.Dec()
+	})
+	defer release()
 
 	for {
 		select {
@@ -283,6 +288,9 @@ func (h *hosted) runLoop() {
 				return
 			}
 			done := h.stepLocked()
+			if done {
+				release()
+			}
 			h.mu.Unlock()
 			if !done {
 				continue

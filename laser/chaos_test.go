@@ -72,11 +72,11 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // A panicking workload inside Session.Run must come back as a returned
-// *machine.PanicError — never unwind into the caller — with every
-// intra-run worker goroutine joined. The session is terminal afterwards.
+// *machine.PanicError — never unwind into the caller — and leave no
+// goroutine behind. The session is terminal afterwards.
 func TestSessionContainsWorkloadPanic(t *testing.T) {
 	base := runtime.NumGoroutine()
-	s, err := laser.Attach(panicImage(50_000), laser.WithIntraRunParallelism(4))
+	s, err := laser.Attach(panicImage(50_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSessionContainsWorkloadPanic(t *testing.T) {
 // no goroutine survives.
 func TestSessionCloseRacesRun(t *testing.T) {
 	base := runtime.NumGoroutine()
-	s, err := laser.Attach(spinImage(5_000_000), laser.WithIntraRunParallelism(2))
+	s, err := laser.Attach(spinImage(5_000_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +213,10 @@ func TestSessionObserverOnlyNoLeak(t *testing.T) {
 }
 
 // Cancelling Run's context mid-run must return the context error with a
-// partial result and leave no goroutine behind — the intra-run worker
-// pool is joined at every RunFor slice boundary.
+// partial result and leave no goroutine behind.
 func TestSessionRunCancelNoLeak(t *testing.T) {
 	base := runtime.NumGoroutine()
-	s, err := laser.Attach(spinImage(5_000_000), laser.WithIntraRunParallelism(4))
+	s, err := laser.Attach(spinImage(5_000_000))
 	if err != nil {
 		t.Fatal(err)
 	}

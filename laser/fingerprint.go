@@ -12,14 +12,9 @@ import (
 // poll cadence and cycle/epoch budgets. Two configurations with equal
 // fingerprints produce byte-identical runs of the same workload image.
 //
-// IntraRunParallelism is excluded: the engine's output is byte-identical
-// at any worker count, so a cache entry computed under one worker count
-// is valid under every other.
-//
 // The experiment harness uses the fingerprint as the configuration
 // component of its persistent run-cache keys.
 func (c Config) Fingerprint() string {
-	c.IntraRunParallelism = 0
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", c)))
 	return hex.EncodeToString(sum[:12])
 }

@@ -16,11 +16,4 @@ func TestConfigFingerprint(t *testing.T) {
 	if a.Fingerprint() == c.Fingerprint() {
 		t.Error("poll-interval change not reflected in fingerprint")
 	}
-	// Intra-run parallelism is byte-identity-preserving and must be
-	// excluded: a cache entry computed serially serves parallel runs.
-	d := DefaultConfig()
-	d.IntraRunParallelism = 4
-	if a.Fingerprint() != d.Fingerprint() {
-		t.Error("intra-run parallelism leaked into the fingerprint")
-	}
 }

@@ -48,11 +48,6 @@ type Config struct {
 	PollInterval uint64
 	// MaxCycles caps the run (0 = effectively unbounded).
 	MaxCycles uint64
-	// IntraRunParallelism > 1 executes the simulated machine's
-	// thread-private instruction stretches on that many host workers (see
-	// WithIntraRunParallelism). Results are byte-identical to the serial
-	// engine; 0 or 1 selects it.
-	IntraRunParallelism int
 	// MaxEpochs bounds how many detect→repair epochs a session may run.
 	// 0 means DefaultMaxEpochs; 1 is the paper's one-shot pass.
 	MaxEpochs int
@@ -93,8 +88,6 @@ func (c *Config) Validate() error {
 	switch {
 	case c.Cores < 0:
 		return fmt.Errorf("laser: Cores must be positive, got %d", c.Cores)
-	case c.IntraRunParallelism < 0:
-		return fmt.Errorf("laser: IntraRunParallelism must be non-negative, got %d", c.IntraRunParallelism)
 	case c.MaxEpochs < 0:
 		return fmt.Errorf("laser: MaxEpochs must be positive, got %d", c.MaxEpochs)
 	case c.PEBS.SAV <= 0:
@@ -159,20 +152,12 @@ type Result struct {
 // allocator chunk header — the §7.2 lu_ncb layout coincidence.
 const AttachBias = mem.ChunkHeader
 
-// RunNative executes a workload image without any monitoring.
+// RunNative executes a workload image without any monitoring. The image's
+// declared private data selects the machine's private-segment engine,
+// whose results are byte-identical to the serial interpreter's.
 func RunNative(img *workload.Image, cores int) (*machine.Stats, error) {
-	return RunNativeParallel(img, cores, 1)
-}
-
-// RunNativeParallel is RunNative with intra-run parallelism: workers > 1
-// executes the single simulated machine on that many host threads, with
-// results byte-identical to RunNative. It is how the experiment harness
-// keeps the hardware busy when a figure has fewer runnable simulations
-// than host cores.
-func RunNativeParallel(img *workload.Image, cores, workers int) (*machine.Stats, error) {
 	m := machine.New(img.Prog, machine.Config{
 		Cores:       cores,
-		Parallelism: workers,
 		PrivateData: img.PrivateRanges(),
 	}, img.Specs)
 	img.Init(m)

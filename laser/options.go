@@ -146,23 +146,6 @@ func WithMaxCycles(n uint64) Option {
 	}
 }
 
-// WithIntraRunParallelism runs the simulated machine on up to n host
-// worker threads: thread-private instruction stretches execute
-// concurrently while every globally-visible event (coherence traffic,
-// HITMs, SSB flushes, probe activity) retires serially in the exact
-// serial-schedule order. Results — statistics, reports, the event stream
-// — are byte-identical at any n; only wall-clock time changes. 1 (or 0)
-// selects the serial engine.
-func WithIntraRunParallelism(n int) Option {
-	return func(s *settings) error {
-		if n < 0 {
-			return fmt.Errorf("WithIntraRunParallelism: worker count must be non-negative, got %d", n)
-		}
-		s.cfg.IntraRunParallelism = n
-		return nil
-	}
-}
-
 // WithMaxEpochs bounds how many detect→repair epochs the session may run.
 // 1 recovers the paper's one-shot behaviour (a single repair, then the
 // pipeline keeps observing but never re-triggers); Attach's default is

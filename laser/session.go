@@ -82,12 +82,16 @@ type Session struct {
 	observers []func(Event)
 	stream    *eventStream
 
-	img  *workload.Image
-	m    *machine.Machine
-	drv  *driver.Driver
-	pmu  *pebs.Unit
-	pipe *core.Pipeline
-	ctl  *repair.Controller
+	img *workload.Image
+	// private is the thread-private data handed to the machine: the
+	// image's declaration, which selects the private-segment engine.
+	// Trial forks reuse it so they run the parent's engine.
+	private [][]mem.Range
+	m       *machine.Machine
+	drv     *driver.Driver
+	pmu     *pebs.Unit
+	pipe    *core.Pipeline
+	ctl     *repair.Controller
 
 	next   uint64 // next poll deadline (simulated cycles)
 	done   bool
@@ -129,25 +133,33 @@ type Session struct {
 // perturbation the fork-based attach inflicts on a process (AttachBias)
 // is a build-time option, applied by the Run convenience wrapper.
 func Attach(img *workload.Image, opts ...Option) (*Session, error) {
+	st, err := resolveSettings(opts)
+	if err != nil {
+		return nil, err
+	}
+	return newSession(img, st, img.PrivateRanges())
+}
+
+// resolveSettings applies opts over DefaultConfig, settles the defaults
+// that depend on several options, and validates the result — the shared
+// front half of Attach and RestoreSession.
+func resolveSettings(opts []Option) (settings, error) {
 	st := settings{cfg: DefaultConfig(), monitorAfterRepair: true}
 	for _, opt := range opts {
 		if opt == nil {
 			continue
 		}
 		if err := opt(&st); err != nil {
-			return nil, fmt.Errorf("laser: %w", err)
+			return st, fmt.Errorf("laser: %w", err)
 		}
 	}
 	if st.cfg.MaxEpochs == 0 {
 		st.cfg.MaxEpochs = DefaultMaxEpochs
 	}
 	if err := resolvePollInterval(&st); err != nil {
-		return nil, err
+		return st, err
 	}
-	if err := st.cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return newSession(img, st)
+	return st, st.cfg.Validate()
 }
 
 // resolvePollInterval settles the session's poll cadence after every
@@ -194,8 +206,9 @@ func resolvePollInterval(st *settings) error {
 }
 
 // newSession wires the Figure 8 processes together. st.cfg must already
-// be validated.
-func newSession(img *workload.Image, st settings) (*Session, error) {
+// be validated. private is the thread-private data the machine receives;
+// tests pass nil to run the serial reference interpreter.
+func newSession(img *workload.Image, st settings, private [][]mem.Range) (*Session, error) {
 	cfg := st.cfg
 	vm := img.VMMap()
 	drv := driver.New(cfg.Driver)
@@ -210,8 +223,7 @@ func newSession(img *workload.Image, st settings) (*Session, error) {
 		Cores:       cfg.Cores,
 		Probe:       pmu,
 		MaxCycles:   cfg.MaxCycles,
-		Parallelism: cfg.IntraRunParallelism,
-		PrivateData: img.PrivateRanges(),
+		PrivateData: private,
 		OnAliasMiss: func(tid int, pc mem.Addr) {
 			if ctl != nil {
 				ctl.OnAliasMiss(tid, pc)
@@ -227,6 +239,7 @@ func newSession(img *workload.Image, st settings) (*Session, error) {
 		monitorAfterRepair: st.monitorAfterRepair,
 		observers:          st.observers,
 		img:                img,
+		private:            private,
 		m:                  m,
 		drv:                drv,
 		pmu:                pmu,
@@ -315,10 +328,10 @@ func (s *Session) EpochSnapshotInto(dst *core.Report) {
 // workload has run to completion and the session result is final.
 //
 // A panicking workload (or detector/repair stage) is contained: the
-// machine converts execution panics into a *machine.PanicError with its
-// worker goroutines joined, a recover here catches the monitor side,
-// and either way the session turns terminal — the error is returned,
-// the panic never unwinds into the caller, and no goroutine leaks.
+// machine converts execution panics into a *machine.PanicError, a
+// recover here catches the monitor side, and either way the session
+// turns terminal — the error is returned, the panic never unwinds into
+// the caller, and no goroutine leaks.
 func (s *Session) Step() (done bool, err error) {
 	if s.closed.Load() {
 		return true, ErrClosed

@@ -4,10 +4,9 @@ package laser
 // snapshots (machine, detector pipeline, repair controller, PMU,
 // driver) with the session's own monitor-loop state into one
 // gob-serializable value. CaptureState is valid whenever the session is
-// stopped at a Step boundary — the machine settles every in-flight
-// engine segment before RunFor returns, so a boundary is a fully
-// consistent cut. RestoreSession rebuilds the full stack from the
-// workload image and overwrites it with the snapshot; restore is
+// stopped at a Step boundary, which is a fully consistent cut of the
+// machine under either engine. RestoreSession rebuilds the full stack
+// from the workload image and overwrites it with the snapshot; restore is
 // deterministically transparent: a restored session emits a
 // byte-identical remaining event stream and final result versus a twin
 // that was never interrupted.
@@ -33,8 +32,8 @@ import (
 // a snapshot whose fingerprint does not match the configuration the
 // restoring options produce, because a single divergent parameter would
 // silently fork the simulation. Parallel additionally pins the
-// execution engine — the intra-run engine's first-touch tables are not
-// portable across engines, so a snapshot restores only onto the same
+// execution engine — the private-segment engine's first-touch tables are
+// not portable across engines, so a snapshot restores only onto the same
 // engine kind it was captured on.
 type SessionState struct {
 	Fingerprint string
@@ -120,39 +119,31 @@ func (s *Session) CaptureState() *SessionState {
 // describe the same workload image and configuration the captured
 // session was attached with; the configuration is verified against the
 // snapshot's fingerprint and the execution-engine kind against its
-// Parallel flag (IntraRunParallelism may change worker count, but not
-// flip between serial and intra-run engines). The restored session is
-// stopped at the captured Step boundary; no events are re-emitted for
-// the already-monitored prefix, so observers attached via opts see
-// exactly the remaining stream.
+// Parallel flag (the image's declared private data picks the engine, see
+// machine.New). The restored session is stopped at the captured Step
+// boundary; no events are re-emitted for the already-monitored prefix,
+// so observers attached via opts see exactly the remaining stream.
 func RestoreSession(img *workload.Image, st *SessionState, opts ...Option) (*Session, error) {
-	set := settings{cfg: DefaultConfig(), monitorAfterRepair: true}
-	for _, opt := range opts {
-		if opt == nil {
-			continue
-		}
-		if err := opt(&set); err != nil {
-			return nil, fmt.Errorf("laser: %w", err)
-		}
-	}
-	if set.cfg.MaxEpochs == 0 {
-		set.cfg.MaxEpochs = DefaultMaxEpochs
-	}
-	if err := resolvePollInterval(&set); err != nil {
+	set, err := resolveSettings(opts)
+	if err != nil {
 		return nil, err
 	}
-	if err := set.cfg.Validate(); err != nil {
-		return nil, err
-	}
+	return restoreSession(img, st, set, img.PrivateRanges())
+}
+
+// restoreSession is RestoreSession with resolved settings and the private
+// data handed to the machine (nil in tests that restore onto the serial
+// interpreter).
+func restoreSession(img *workload.Image, st *SessionState, set settings, private [][]mem.Range) (*Session, error) {
 	if fp := set.cfg.Fingerprint(); fp != st.Fingerprint {
 		return nil, fmt.Errorf("laser: snapshot fingerprint %s does not match configuration fingerprint %s", st.Fingerprint, fp)
 	}
-	s, err := newSession(img, set)
+	s, err := newSession(img, set, private)
 	if err != nil {
 		return nil, err
 	}
 	if s.m.IntraRunParallel() != st.Parallel {
-		return nil, fmt.Errorf("laser: snapshot captured with intra-run parallel=%v, restore configured parallel=%v",
+		return nil, fmt.Errorf("laser: snapshot captured with private-segment engine=%v, restore configured engine=%v",
 			st.Parallel, s.m.IntraRunParallel())
 	}
 	if err := s.restoreFrom(st); err != nil {

@@ -15,10 +15,12 @@ import (
 // pickStep derives a deterministic pseudo-random capture point in
 // [0, steps) from the test identity, so the sweep exercises different
 // boundaries per workload without flaking across runs.
-func pickStep(name string, par, steps int) int {
+func pickStep(name string, engine bool, steps int) int {
 	h := fnv.New32a()
 	h.Write([]byte(name))
-	h.Write([]byte{byte(par)})
+	if engine {
+		h.Write([]byte{1})
+	}
 	return int(h.Sum32() % uint32(steps))
 }
 
@@ -54,12 +56,18 @@ func driveToDone(t *testing.T, s *laser.Session) int {
 // full Encode/Decode cycle, discarded, and rebuilt with RestoreSession,
 // which then runs to completion. The restored session must produce the
 // missing event-stream suffix byte for byte, the identical result, and a
-// final snapshot whose encoding matches twin A's.
-func roundTrip(t *testing.T, name string, par, captureAt int, build func() *workload.Image, opts func(obs func(laser.Event)) []laser.Option) {
+// final snapshot whose encoding matches twin A's. Without engine every
+// twin runs the serial reference interpreter instead of the engine the
+// image's declared private data selects.
+func roundTrip(t *testing.T, name string, engine bool, captureAt int, build func() *workload.Image, opts func(obs func(laser.Event)) []laser.Option) {
 	t.Helper()
+	attach, restore := laser.Attach, laser.RestoreSession
+	if !engine {
+		attach, restore = laser.AttachSerial, laser.RestoreSerial
+	}
 
 	var refEvents []string
-	sa, err := laser.Attach(build(), opts(func(e laser.Event) {
+	sa, err := attach(build(), opts(func(e laser.Event) {
 		refEvents = append(refEvents, fmt.Sprint(e))
 	})...)
 	if err != nil {
@@ -74,14 +82,14 @@ func roundTrip(t *testing.T, name string, par, captureAt int, build func() *work
 	finalA := encodeState(t, sa.CaptureState())
 
 	if captureAt < 0 {
-		captureAt = pickStep(name, par, steps)
+		captureAt = pickStep(name, engine, steps)
 	}
 	if captureAt >= steps {
 		captureAt = steps - 1
 	}
 
 	var preEvents []string
-	sb, err := laser.Attach(build(), opts(func(e laser.Event) {
+	sb, err := attach(build(), opts(func(e laser.Event) {
 		preEvents = append(preEvents, fmt.Sprint(e))
 	})...)
 	if err != nil {
@@ -106,7 +114,7 @@ func roundTrip(t *testing.T, name string, par, captureAt int, build func() *work
 		t.Fatal(err)
 	}
 	var postEvents []string
-	sr, err := laser.RestoreSession(build(), st, opts(func(e laser.Event) {
+	sr, err := restore(build(), st, opts(func(e laser.Event) {
 		postEvents = append(postEvents, fmt.Sprint(e))
 	})...)
 	if err != nil {
@@ -153,8 +161,9 @@ func roundTrip(t *testing.T, name string, par, captureAt int, build func() *work
 }
 
 // TestSessionSnapshotRoundTripAllWorkloads captures every stock workload
-// at a randomized Step boundary, under both the serial scheduler and the
-// intra-run parallel engine, and demands restore transparency: the
+// at a randomized Step boundary, under both the serial reference
+// interpreter (par1) and the private-segment engine (par4), and demands
+// restore transparency: the
 // restored twin's remaining event stream, final result, rendered report
 // and final snapshot encoding are byte-identical to an uninterrupted
 // twin's.
@@ -166,9 +175,12 @@ func TestSessionSnapshotRoundTripAllWorkloads(t *testing.T) {
 	for _, w := range workload.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			for _, par := range []int{1, 4} {
-				par := par
-				t.Run(fmt.Sprintf("par%d", par), func(t *testing.T) {
+			for _, sub := range []struct {
+				name   string
+				engine bool
+			}{{"par1", false}, {"par4", true}} {
+				sub := sub
+				t.Run(sub.name, func(t *testing.T) {
 					build := func() *workload.Image {
 						return w.Build(workload.Options{Scale: scale, HeapBias: laser.AttachBias})
 					}
@@ -176,11 +188,10 @@ func TestSessionSnapshotRoundTripAllWorkloads(t *testing.T) {
 						return []laser.Option{
 							laser.WithSeed(11),
 							laser.WithMaxEpochs(2),
-							laser.WithIntraRunParallelism(par),
 							laser.WithObserver(obs),
 						}
 					}
-					roundTrip(t, w.Name, par, -1, build, opts)
+					roundTrip(t, w.Name, sub.engine, -1, build, opts)
 				})
 			}
 		})
@@ -237,7 +248,7 @@ func TestSessionSnapshotRoundTripAfterRepair(t *testing.T) {
 		t.Fatalf("no mid-run repair boundary (first repair at step %d of %d)", firstRepairStep, steps)
 	}
 
-	roundTrip(t, "twophase", 1, firstRepairStep, build, opts)
+	roundTrip(t, "twophase", true, firstRepairStep, build, opts)
 }
 
 // TestSessionSnapshotRoundTripDone: a snapshot of a finished session
@@ -305,12 +316,12 @@ func TestRestoreSessionRefusals(t *testing.T) {
 		!strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("expected fingerprint refusal, got %v", err)
 	}
-	// IntraRunParallelism is excluded from the fingerprint (it must not
-	// change results), but the engine's first-touch tables are not
-	// portable across engine kinds, so flipping serial<->parallel is
-	// refused separately.
-	if _, err := laser.RestoreSession(img, st, laser.WithSeed(3), laser.WithIntraRunParallelism(4)); err == nil ||
-		!strings.Contains(err.Error(), "parallel") {
+	// The engine's first-touch tables are not portable across engine
+	// kinds, so a snapshot from the other engine is refused.
+	flipped := *st
+	flipped.Parallel = !st.Parallel
+	if _, err := laser.RestoreSession(img, &flipped, laser.WithSeed(3)); err == nil ||
+		!strings.Contains(err.Error(), "engine") {
 		t.Fatalf("expected engine-kind refusal, got %v", err)
 	}
 

@@ -130,7 +130,7 @@ func (s *Session) runTrials(pcs []mem.Addr) ([]repair.TrialResult, error) {
 // matches). The fork has no observers and an inert repair trigger.
 func (s *Session) fork(st *SessionState) (*Session, error) {
 	set := settings{cfg: s.cfg, monitorAfterRepair: s.monitorAfterRepair}
-	f, err := newSession(s.img, set)
+	f, err := newSession(s.img, set, s.private)
 	if err != nil {
 		return nil, err
 	}
