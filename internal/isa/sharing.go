@@ -22,6 +22,10 @@ const (
 	// ShareUnknown: the instruction may touch memory whose privacy is
 	// not statically decidable; the engine checks the effective address
 	// against the thread's private ranges at run time.
+	//
+	// Atomics (CAS, fetch-add) are classified by their address like
+	// loads and stores, but the engine always retires them serially: the
+	// class only tells it whether the address can be private at all.
 	ShareUnknown SharingClass = iota
 	// SharePrivate: the instruction provably touches only the executing
 	// thread's private state (registers, control flow, or memory inside
@@ -29,8 +33,8 @@ const (
 	SharePrivate
 	// ShareShared: the instruction is globally visible — it provably
 	// touches memory outside the thread's private ranges, or it is a
-	// synchronization/SSB/probe-visible operation. The engine retires it
-	// serially, in exact min-clock order.
+	// fence, halt or SSB operation. The engine retires it serially, in
+	// exact min-clock order.
 	ShareShared
 )
 
@@ -376,12 +380,12 @@ func baselineRow(p *Program, noRanges bool) []SharingClass {
 
 func opcodeClass(op Op, noRanges bool) SharingClass {
 	switch op {
-	case OpLoad, OpStore:
+	case OpLoad, OpStore, OpCAS, OpFetchAdd:
 		if noRanges {
 			return ShareShared
 		}
 		return ShareUnknown
-	case OpCAS, OpFetchAdd, OpFence, OpHalt, OpSSBLoad, OpSSBStore, OpSSBFlush, OpAliasCheck:
+	case OpFence, OpHalt, OpSSBLoad, OpSSBStore, OpSSBFlush, OpAliasCheck:
 		return ShareShared
 	default:
 		if int(op) < len(LocalOps) && LocalOps[op] {
@@ -550,7 +554,7 @@ func (a *analyzer) function(fn Func, entryIdx int, entry *regState, priv []mem.R
 		for i := start; i < blk.End; i++ {
 			inr := &p.Instrs[i]
 			switch inr.Op {
-			case OpLoad, OpStore:
+			case OpLoad, OpStore, OpCAS, OpFetchAdd:
 				row[i] = classifyMem(inr, &st, priv)
 			}
 			transfer(p, inr, &st, a.clob)
@@ -610,7 +614,8 @@ func transfer(p *Program, in *Instr, st *regState, clob map[int]*[NumRegs]bool) 
 	}
 }
 
-// classifyMem decides one Load/Store given the abstract address register.
+// classifyMem decides one load, store or atomic given the abstract
+// address register.
 func classifyMem(in *Instr, st *regState, priv []mem.Range) SharingClass {
 	base := st[in.Rs1]
 	if base.top {

@@ -89,6 +89,39 @@ func TestSharingNoRanges(t *testing.T) {
 	}
 }
 
+// TestSharingAtomics: atomics classify by their address like loads and
+// stores, so the engine can skip the private-line probe for a lock word
+// the analysis proves shared, and must keep it for one it cannot place.
+func TestSharingAtomics(t *testing.T) {
+	b := NewBuilder().At("at.c", 1)
+	b.Func("worker")
+	b.Li(9, 1)
+	b.FetchAdd(8, 0, 0, 9, 8)  // constant shared counter  (idx 1)
+	b.FetchAdd(8, 1, 16, 9, 8) // inside the private slice (idx 2)
+	b.Load(3, 0, 8, 8)
+	b.CAS(8, 3, 0, 9, 9, 8) // address from a loaded value (idx 4)
+	b.Halt()
+	p := b.Build()
+	priv := mem.Range{Start: mem.HeapBase + 0x10000, End: mem.HeapBase + 0x12000}
+	seed := ThreadSeed{
+		Regs:    map[Reg]int64{0: int64(mem.HeapBase), 1: int64(priv.Start)},
+		Private: []mem.Range{priv},
+	}
+	sh := AnalyzeSharing(p, []ThreadSeed{seed})
+	for idx, cls := range map[int]SharingClass{1: ShareShared, 2: SharePrivate, 4: ShareUnknown} {
+		if got := sh.Class(0, idx); got != cls {
+			t.Errorf("instr %d (%s): class %v, want %v", idx, p.Instrs[idx].String(), got, cls)
+		}
+	}
+	// Without private ranges nothing can be private.
+	sh = AnalyzeSharing(p, []ThreadSeed{{Regs: seed.Regs}})
+	for _, idx := range []int{1, 2, 4} {
+		if got := sh.Class(0, idx); got != ShareShared {
+			t.Errorf("instr %d: %v, want shared (no private ranges)", idx, got)
+		}
+	}
+}
+
 // TestSharingPerThread: the same PC classifies differently per thread
 // when the base register points into that thread's own slice.
 func TestSharingPerThread(t *testing.T) {

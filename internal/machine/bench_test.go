@@ -97,3 +97,55 @@ func BenchmarkMemoryLoadStore(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkSheriffStep measures the Sheriff (private-memory) execution
+// model on the private-segment engine: four threads stream through their
+// declared private buffers with loads, stores and ALU work, and commit at
+// a shared fetch-add every 256 iterations, so loads keep finding their
+// bytes sometimes in the overlay and sometimes only in memory. One op is
+// one simulated instruction; ns/instr is the exact per-instruction cost.
+func BenchmarkSheriffStep(b *testing.B) {
+	bld := isa.NewBuilder().At("sheriff_bench.c", 1)
+	bld.Func("worker")
+	bld.Li(1, 0)
+	bld.Label("loop")
+	bld.AluI(isa.And, 4, 1, 511)
+	bld.AluI(isa.Shl, 4, 4, 3)
+	bld.Add(4, 4, 2)
+	bld.Load(5, 4, 0, 8)
+	bld.Load(6, 4, 4096, 4)
+	bld.Add(5, 5, 6)
+	bld.AddI(5, 5, 1)
+	bld.Store(4, 0, 5, 8)
+	bld.AluI(isa.And, 6, 1, 255)
+	bld.BranchI(isa.Ne, 6, 0, "skip")
+	bld.Li(7, 1)
+	bld.FetchAdd(8, 0, 0, 7, 8) // commit point
+	bld.Label("skip")
+	bld.AddI(1, 1, 1)
+	bld.BranchI(isa.Lt, 1, 1<<60, "loop")
+	bld.Halt()
+	prog := bld.Build()
+	specs := make([]ThreadSpec, 4)
+	priv := make([][]mem.Range, 4)
+	for i := range specs {
+		base := mem.HeapBase + 0x10000 + mem.Addr(i)*0x4000
+		specs[i] = ThreadSpec{Regs: map[isa.Reg]int64{0: int64(mem.HeapBase), 2: int64(base)}}
+		priv[i] = []mem.Range{{Start: base, End: base + 0x4000}}
+	}
+	m := New(prog, Config{Cores: 4, PrivateMemory: true, PrivateData: priv, MaxCycles: 1 << 62}, specs)
+	if !m.IntraRunParallel() {
+		b.Fatal("engine not engaged")
+	}
+	var target uint64
+	const slice = 1 << 16
+	b.ReportAllocs()
+	b.ResetTimer()
+	for m.stats.Instructions < uint64(b.N) {
+		target += slice
+		if _, err := m.RunFor(target); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(m.stats.Instructions), "ns/instr")
+}

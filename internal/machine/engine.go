@@ -41,6 +41,18 @@ import (
 // (Machine.access), so a line is accounted in exactly one place for the
 // whole run.
 //
+// Under the private-memory (Sheriff) model, plain stores always stay in
+// the thread's overlay and run in segments. A plain load runs in a
+// segment when every byte hits the overlay, or when it lies inside one
+// of the thread's own private ranges; there it reads overlay-or-memory.
+// That read is exact: memory changes only at commits, which write just
+// the bytes the committing thread stored, and at atomics; no other
+// thread stores into a correctly declared range (ValidateSharing checks
+// commits and atomics for exactly this), and the owner's own commits
+// are global events retired in its program order. So the value is the
+// same under every interleaving. Any other load that misses the overlay
+// can observe another thread's commit and retires serially.
+//
 // Program hot-swaps (LASERREPAIR) are the one global event that does not
 // commute with private *memory* instructions: the rewriter turns stores
 // into SSB stores and prefixes loads with alias checks, so a private
@@ -381,6 +393,7 @@ func (e *engine) runSegment(t *thread, c int, hard uint64) {
 	extraInstr := m.cfg.ExtraInstrCycles
 	extraLoad := m.cfg.ExtraLoadCycles
 	priv := m.cfg.PrivateMemory
+	load := m.data.load
 	// Private memory instructions run in segments only while the
 	// original program is installed (see the file comment).
 	allowMem := m.progGen == 0
@@ -412,14 +425,20 @@ loop:
 			}
 			addr := mem.Addr(t.regs[in.Rs1] + in.Imm)
 			if priv {
-				// Sheriff mode: a load is thread-local only when every
-				// byte hits this thread's own overlay. A missing byte
-				// would fall back to shared memory, whose contents
-				// depend on the global order of other threads' commits
-				// — such loads (including every spin-wait on a flag
-				// another thread publishes) retire serially.
-				v, ok := t.overlay.GetLocal(addr, in.Size)
-				if !ok {
+				// Sheriff mode: a load is thread-local when it lies
+				// inside one of the thread's own private ranges, or
+				// when every byte hits the thread's overlay. Anywhere
+				// else a missing byte falls back to shared memory,
+				// whose contents depend on the global order of other
+				// threads' commits — such loads (including every
+				// spin-wait on a flag another thread publishes) retire
+				// serially. See the file comment for why the private
+				// ranges are exact.
+				var v uint64
+				var ok bool
+				if r := ps.find(addr); r != nil && addr+mem.Addr(in.Size) <= r.end {
+					v, _ = t.overlay.Get(addr, in.Size, load)
+				} else if v, ok = t.overlay.GetLocal(addr, in.Size); !ok {
 					break loop
 				}
 				t.regs[in.Rd] = int64(v)

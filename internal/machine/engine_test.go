@@ -2,8 +2,10 @@ package machine
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -24,16 +26,14 @@ func contendedPrivate() [][]mem.Range {
 
 // runEngines runs the same program under the serial reference (the same
 // configuration with PrivateData nil) and under the private-segment
-// engine with sharing validation on, and demands bit-identical
+// engine, with sharing validation on and off, and demands bit-identical
 // statistics, coherence counters, HITM ground truth, and sampled memory.
+// Validation makes the engine probe the private-line tables at every
+// access; the unvalidated run covers the shortcuts that skip the probe
+// where the sharing analysis proved an address shared.
 func runEngines(t *testing.T, prog *isa.Program, specs []ThreadSpec, cfg Config, sample []mem.Addr) {
 	t.Helper()
-	type outcome struct {
-		st     Stats
-		counts [7]uint64
-		mem    []uint64
-	}
-	run := func(c Config, engine bool) outcome {
+	run := func(c Config, engine bool) engineOutcome {
 		m := New(prog, c, specs)
 		if m.IntraRunParallel() != engine {
 			t.Fatalf("engine engaged = %v, want %v", m.IntraRunParallel(), engine)
@@ -44,7 +44,7 @@ func runEngines(t *testing.T, prog *isa.Program, specs []ThreadSpec, cfg Config,
 		if err := m.CheckCoherence(); err != nil {
 			t.Fatalf("coherence invariants: %v", err)
 		}
-		var o outcome
+		var o engineOutcome
 		o.st = *m.Stats()
 		copy(o.counts[:], m.coh.Counts[:])
 		for _, a := range sample {
@@ -56,7 +56,20 @@ func runEngines(t *testing.T, prog *isa.Program, specs []ThreadSpec, cfg Config,
 	serial.PrivateData = nil
 	want := run(serial, false)
 	cfg.ValidateSharing = true
-	got := run(cfg, true)
+	compareEngineRuns(t, want, run(cfg, true))
+	cfg.ValidateSharing = false
+	compareEngineRuns(t, want, run(cfg, true))
+}
+
+// engineOutcome is what runEngines compares between two runs.
+type engineOutcome struct {
+	st     Stats
+	counts [7]uint64
+	mem    []uint64
+}
+
+func compareEngineRuns(t *testing.T, want, got engineOutcome) {
+	t.Helper()
 	if want.st.Cycles != got.st.Cycles || want.st.Instructions != got.st.Instructions ||
 		want.st.MemAccesses != got.st.MemAccesses {
 		t.Fatalf("cycles/instr/mem = %d/%d/%d, want %d/%d/%d",
@@ -261,6 +274,47 @@ func TestEngineSheriffMode(t *testing.T) {
 	}
 }
 
+// TestEngineAtomicsOnPrivateLines: atomics are classified by address, and
+// the shared-PC shortcut skips the private-line probe only for ones the
+// analysis proves shared. A fetch-add on the thread's own slice, one on
+// the shared line and a CAS through a loaded pointer into the slice must
+// all account exactly as under the serial reference.
+func TestEngineAtomicsOnPrivateLines(t *testing.T) {
+	b := isa.NewBuilder().At("atom.c", 1)
+	b.Func("worker")
+	b.Li(1, 0)
+	b.StoreI(2, 0, 8) // slot 0 of the slice holds the CAS offset, 0
+	b.Label("loop")
+	b.Li(7, 1)
+	b.FetchAdd(8, 2, 128, 7, 8) // private line, provably
+	b.FetchAdd(8, 0, 0, 7, 8)   // shared line, provably
+	b.Load(9, 2, 0, 8)
+	b.Add(9, 9, 2)
+	b.CAS(10, 9, 136, 8, 7, 8) // private line, through a loaded offset
+	b.AluI(isa.And, 4, 1, 63)
+	b.AluI(isa.Shl, 4, 4, 3)
+	b.Add(4, 4, 2)
+	b.Load(5, 4, 128, 8)
+	b.AddI(5, 5, 1)
+	b.Store(4, 128, 5, 8)
+	b.AddI(1, 1, 1)
+	b.BranchI(isa.Lt, 1, 2_000, "loop")
+	b.Halt()
+	prog := b.Build()
+	specs := make([]ThreadSpec, 4)
+	priv := make([][]mem.Range, 4)
+	var sample []mem.Addr
+	for i := range specs {
+		base := mem.HeapBase + 0x4000 + mem.Addr(i)*0x1000
+		specs[i] = ThreadSpec{Regs: map[isa.Reg]int64{0: int64(mem.HeapBase), 2: int64(base)}}
+		priv[i] = []mem.Range{{Start: base, End: base + 0x1000}}
+		sample = append(sample, base+128, base+136, base+256)
+	}
+	sample = append(sample, mem.HeapBase)
+	runEngines(t, prog, specs, Config{Cores: 4, PrivateData: priv}, sample)
+	runEngines(t, prog, specs, Config{Cores: 4, PrivateMemory: true, PrivateData: priv}, sample)
+}
+
 // TestEngineSheriffMessagePassing: under the Sheriff model, a plain load
 // that misses the thread's own overlay observes other threads' commits —
 // it must retire in the global serial order, never inside a segment. The
@@ -432,6 +486,24 @@ func TestEngineOverlapPanics(t *testing.T) {
 		{{Start: mem.HeapBase + 64, End: mem.HeapBase + 256}},
 	}
 	New(prog, Config{Cores: 4, PrivateData: decl}, specs)
+}
+
+// TestSheriffEngineValidateSharingCatchesLies is the Sheriff-model twin
+// of TestEngineValidateSharingCatchesLies. Plain accesses there never
+// reach the private-line tables, so the lie must be caught where the
+// other threads publish their overlay writes to the line: at commit.
+func TestSheriffEngineValidateSharingCatchesLies(t *testing.T) {
+	prog, specs := contendedProg(100)
+	decl := [][]mem.Range{{{Start: mem.HeapBase, End: mem.HeapBase + 64}}}
+	m := New(prog, Config{Cores: 4, PrivateMemory: true, PrivateData: decl, ValidateSharing: true}, specs)
+	_, err := m.Run()
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("false private declaration was not detected: Run() = %v, want *PanicError", err)
+	}
+	if msg := fmt.Sprint(pe.Value); !strings.Contains(msg, "declared private to thread 0") {
+		t.Fatalf("panic %q is not the sharing validation", msg)
+	}
 }
 
 // TestEngineValidateSharingCatchesLies: a deliberately false privacy

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"slices"
+
 	"repro/internal/coherence"
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -8,10 +10,11 @@ import (
 
 // access runs the coherence transaction for one access, charges the probe
 // for HITM events, and aborts any remote SSB-flush transactions that hold
-// the line (the HTM conflict-detection path). NOTE: runBatch's OpLoad and
-// OpStore arms repeat this body inline (the compiler declines to inline
-// it, and the call frame is measurable there) — any change to the
-// sequence below must be mirrored in both arms.
+// the line (the HTM conflict-detection path). in is the instruction at
+// t.pc. NOTE: runBatch's OpLoad and OpStore arms repeat this body inline
+// (the compiler declines to inline it, and the call frame is measurable
+// there) — any change to the sequence below must be mirrored in both
+// arms.
 func (m *Machine) access(t *thread, c int, in *isa.Instr, addr mem.Addr, write bool) uint64 {
 	// Under the private-segment engine, lines private to the
 	// executing thread never enter the shared directory; the engine
@@ -21,7 +24,11 @@ func (m *Machine) access(t *thread, c int, in *isa.Instr, addr mem.Addr, write b
 	// one place for the whole run. Private lines can neither HITM nor
 	// conflict with an SSB-flush transaction (transactions buffer only
 	// lines their own thread wrote), so skipping those steps is exact.
-	if e := m.eng; e != nil {
+	// While the original program is installed, a PC the sharing analysis
+	// proved shared skips the private-table probe (validation still
+	// probes, to check foreign lines); SSB operations, whose PCs the
+	// class row does not cover, exist only after a rewrite.
+	if e := m.eng; e != nil && (m.progGen != 0 || e.validate || e.sharing.Row(t.id)[t.pc] != isa.ShareShared) {
 		if cost, ok := e.privAccess(t, addr); ok {
 			return cost
 		}
@@ -77,7 +84,7 @@ func (m *Machine) noteHITM(t *thread, c int, in *isa.Instr, addr mem.Addr, write
 // memLoad implements OpLoad in both the normal and private-memory modes.
 func (m *Machine) memLoad(t *thread, c int, in *isa.Instr, addr mem.Addr) (uint64, uint64) {
 	if m.cfg.PrivateMemory {
-		v, _ := t.overlay.Get(addr, in.Size, m.data.loadByte)
+		v, _ := t.overlay.Get(addr, in.Size, m.data.load)
 		return v, CostMemHitLocal
 	}
 	cost := m.access(t, c, in, addr, false)
@@ -101,6 +108,7 @@ func (m *Machine) execCAS(t *thread, c int, in *isa.Instr) uint64 {
 	addr := mem.Addr(t.regs[in.Rs1] + in.Imm)
 	var cost uint64
 	if m.cfg.PrivateMemory {
+		m.checkPrivateWrite(t, mem.LineOf(addr))
 		cost = m.commitOverlay(t, c) + CostMemHitLocal + CostAtomicExtra
 	} else {
 		cost = m.access(t, c, in, addr, true) + CostAtomicExtra
@@ -121,6 +129,7 @@ func (m *Machine) execFetchAdd(t *thread, c int, in *isa.Instr) uint64 {
 	addr := mem.Addr(t.regs[in.Rs1] + in.Imm)
 	var cost uint64
 	if m.cfg.PrivateMemory {
+		m.checkPrivateWrite(t, mem.LineOf(addr))
 		cost = m.commitOverlay(t, c) + CostMemHitLocal + CostAtomicExtra
 	} else {
 		cost = m.access(t, c, in, addr, true) + CostAtomicExtra
@@ -158,30 +167,48 @@ func (m *Machine) fencePoint(t *thread, c int) uint64 {
 }
 
 // commitOverlay publishes a thread's private writes at a synchronization
-// point (the Sheriff execution model) and charges the diff/commit cost.
+// point (the Sheriff execution model) and charges the diff/commit cost:
+// a base cost plus one per distinct dirty page.
 func (m *Machine) commitOverlay(t *thread, c int) uint64 {
-	lines := t.overlay.Lines()
-	cost := uint64(CostCommitBase)
-	pages := map[uint64]bool{}
-	writes := make([]LineWrite, 0, len(lines))
-	for _, l := range lines {
-		data, mask, _ := t.overlay.Entry(l)
-		for i := 0; i < mem.LineSize; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				m.data.storeByte(mem.Addr(l)+mem.Addr(i), data[i])
-			}
+	ov := t.overlay
+	writes := m.commitWrites[:0]
+	pages := m.commitPages[:0]
+	for i, l := range ov.order {
+		m.checkPrivateWrite(t, l)
+		e := &ov.ents[i]
+		m.data.storeLine(l, &e.data, e.mask)
+		writes = append(writes, LineWrite{Line: l, Mask: e.mask})
+		// First-touch order keeps a page's lines mostly adjacent, so
+		// dropping consecutive repeats leaves little to sort.
+		if pg := uint64(l) / pageSize; len(pages) == 0 || pages[len(pages)-1] != pg {
+			pages = append(pages, pg)
 		}
-		pages[uint64(l)/pageSize] = true
-		writes = append(writes, LineWrite{Line: l, Mask: mask})
 	}
-	cost += uint64(len(pages)) * CostCommitDirtyPage
+	if len(pages) > 1 {
+		slices.Sort(pages)
+		pages = slices.Compact(pages)
+	}
+	m.commitWrites, m.commitPages = writes, pages
+	cost := uint64(CostCommitBase) + uint64(len(pages))*CostCommitDirtyPage
 	if m.cfg.OnCommit != nil {
 		cost += m.cfg.OnCommit(t.id, writes, m.clock[c])
 	}
-	t.overlay.Clear()
+	ov.Clear()
 	m.stats.Commits++
 	m.stats.CommitCycles += cost
 	return cost
+}
+
+// checkPrivateWrite is ValidateSharing under the Sheriff model: there,
+// plain accesses never reach the private-line tables, so the write side
+// is checked where it becomes global — at commits and atomics. It panics
+// when thread t publishes a write to a line declared private to another
+// thread, the declaration the engine's in-segment private-range loads
+// rest on.
+func (m *Machine) checkPrivateWrite(t *thread, l mem.Line) {
+	if e := m.eng; e != nil && e.validate {
+		e.checkForeign(t.id, l)
+	}
 }
 
 // ssbStore implements OpSSBStore (Figure 6, top): the store is buffered in
@@ -211,7 +238,7 @@ func (m *Machine) ssbLoad(t *thread, c int, in *isa.Instr, addr mem.Addr) (uint6
 		cost := m.access(t, c, in, addr, false)
 		return m.data.load(addr, in.Size), cost + CostSSBIdle
 	}
-	v, hit := t.ssb.Get(addr, in.Size, m.data.loadByte)
+	v, hit := t.ssb.Get(addr, in.Size, m.data.load)
 	cost := uint64(CostSSBOp)
 	if !hit {
 		// Entirely from shared memory: a normal coherent load.
@@ -268,16 +295,12 @@ func (m *Machine) resolveTxn(t *thread, c int) {
 // coherence model. Within a committed transaction the writes are strongly
 // atomic — no remote thread observes a prefix (§5.5).
 func (m *Machine) applySSB(t *thread, c int) {
-	for _, l := range t.ssb.Lines() {
-		data, mask, _ := t.ssb.Entry(l)
+	s := t.ssb
+	for i, l := range s.order {
 		// One coherence transaction per line; use the flush site as PC.
 		in := &m.prog.Instrs[t.pc]
 		m.clock[c] += m.access(t, c, in, mem.Addr(l), true)
-		for i := 0; i < mem.LineSize; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				m.data.storeByte(mem.Addr(l)+mem.Addr(i), data[i])
-			}
-		}
+		m.data.storeLine(l, &s.ents[i].data, s.ents[i].mask)
 	}
 }
 

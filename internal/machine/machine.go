@@ -61,7 +61,9 @@ type Config struct {
 	PrivateMemory bool
 	// OnCommit is called at each private-memory commit with the lines
 	// (and byte masks) the thread wrote since its previous commit; it
-	// returns extra cycles (Sheriff-Detect's sampling work).
+	// returns extra cycles (Sheriff-Detect's sampling work). The machine
+	// reuses writes for the next commit: the callee must copy what it
+	// keeps.
 	OnCommit func(tid int, writes []LineWrite, now uint64) uint64
 
 	// OnAliasMiss is called when an inserted alias check detects that a
@@ -83,7 +85,9 @@ type Config struct {
 	PrivateData [][]mem.Range
 	// ValidateSharing makes the private-segment engine panic when any
 	// thread touches a line inside another thread's declared private
-	// ranges.
+	// ranges. Under PrivateMemory, where plain accesses stay in the
+	// thread's overlay, it checks the writes a thread publishes: its
+	// commits and atomics.
 	ValidateSharing bool
 }
 
@@ -219,6 +223,11 @@ type Machine struct {
 	// eng is the private-segment engine, nil under the serial batch
 	// interpreter (see engine.go).
 	eng *engine
+
+	// commitWrites and commitPages are commitOverlay's buffers, reused
+	// from commit to commit.
+	commitWrites []LineWrite
+	commitPages  []uint64
 
 	stats Stats
 }

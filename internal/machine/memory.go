@@ -2,6 +2,7 @@ package machine
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"repro/internal/mem"
 )
@@ -107,21 +108,7 @@ func (m *memory) load(a mem.Addr, size uint8) uint64 {
 		} else if p = m.page(a, false); p == nil {
 			return 0
 		}
-		switch size {
-		case 8:
-			return binary.LittleEndian.Uint64(p[off:])
-		case 4:
-			return uint64(binary.LittleEndian.Uint32(p[off:]))
-		case 2:
-			return uint64(binary.LittleEndian.Uint16(p[off:]))
-		case 1:
-			return uint64(p[off])
-		}
-		var v uint64
-		for i := uint8(0); i < size; i++ {
-			v |= uint64(p[off+uint64(i)]) << (8 * i)
-		}
-		return v
+		return getWord(p[off:], size)
 	}
 	// Page-crossing access: byte at a time.
 	var v uint64
@@ -149,20 +136,7 @@ func (m *memory) store(a mem.Addr, size uint8, v uint64) {
 		} else {
 			p = m.page(a, true)
 		}
-		switch size {
-		case 8:
-			binary.LittleEndian.PutUint64(p[off:], v)
-		case 4:
-			binary.LittleEndian.PutUint32(p[off:], uint32(v))
-		case 2:
-			binary.LittleEndian.PutUint16(p[off:], uint16(v))
-		case 1:
-			p[off] = byte(v)
-		default:
-			for i := uint8(0); i < size; i++ {
-				p[off+uint64(i)] = byte(v >> (8 * i))
-			}
-		}
+		putWord(p[off:], size, v)
 		return
 	}
 	for i := uint8(0); i < size; i++ {
@@ -172,4 +146,60 @@ func (m *memory) store(a mem.Addr, size uint8, v uint64) {
 
 func (m *memory) storeByte(a mem.Addr, b byte) {
 	m.page(a, true)[uint64(a)&(pageSize-1)] = b
+}
+
+// putWord stores the low size bytes of v little-endian at b[0:size].
+func putWord(b []byte, size uint8, v uint64) {
+	switch size {
+	case 8:
+		binary.LittleEndian.PutUint64(b, v)
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 1:
+		b[0] = byte(v)
+	default:
+		for i := uint8(0); i < size; i++ {
+			b[i] = byte(v >> (8 * i))
+		}
+	}
+}
+
+// getWord loads size bytes little-endian from b[0:size], zero-extended.
+func getWord(b []byte, size uint8) uint64 {
+	switch size {
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 1:
+		return uint64(b[0])
+	}
+	var v uint64
+	for i := uint8(0); i < size; i++ {
+		v |= uint64(b[i]) << (8 * i)
+	}
+	return v
+}
+
+// storeLine writes the bytes of data that mask selects into line l: the
+// masked write-back behind Sheriff commits and SSB flushes. A line never
+// spans pages; an empty mask writes (and maps) nothing.
+func (m *memory) storeLine(l mem.Line, data *[mem.LineSize]byte, mask uint64) {
+	if mask == 0 {
+		return
+	}
+	off := uint64(l) & (pageSize - 1)
+	dst := m.page(mem.Addr(l), true)[off : off+mem.LineSize]
+	if mask == ^uint64(0) {
+		copy(dst, data[:])
+		return
+	}
+	for b := mask; b != 0; b &= b - 1 {
+		i := bits.TrailingZeros64(b)
+		dst[i] = data[i]
+	}
 }

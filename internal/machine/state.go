@@ -91,9 +91,8 @@ func captureSSB(s *SSB) []SSBLine {
 		return nil
 	}
 	out := make([]SSBLine, 0, s.Len())
-	for _, l := range s.Lines() {
-		data, mask, _ := s.Entry(l)
-		out = append(out, SSBLine{Line: l, Data: data, Mask: mask})
+	for i, l := range s.order {
+		out = append(out, SSBLine{Line: l, Data: s.ents[i].data, Mask: s.ents[i].mask})
 	}
 	return out
 }
@@ -103,8 +102,8 @@ func captureSSB(s *SSB) []SSBLine {
 func (s *SSB) setEntries(lines []SSBLine) {
 	s.Clear()
 	for i := range lines {
-		e := &ssbEntry{data: lines[i].Data, mask: lines[i].Mask}
-		s.entries[lines[i].Line] = e
+		s.index[lines[i].Line] = int32(len(s.order))
+		s.ents = append(s.ents, ssbEntry{data: lines[i].Data, mask: lines[i].Mask})
 		s.order = append(s.order, lines[i].Line)
 	}
 }
@@ -286,6 +285,13 @@ func (m *Machine) RestoreState(st *State) error {
 		t.pc = ts.PC
 		t.callStack = append([]int(nil), ts.CallStack...)
 		t.halted = ts.Halted
+		for _, lines := range [][]SSBLine{ts.SSB, ts.Overlay} {
+			for _, l := range lines {
+				if mem.Addr(l.Line)&(mem.LineSize-1) != 0 {
+					return fmt.Errorf("machine: snapshot thread %d buffers unaligned line %#x", i, uint64(l.Line))
+				}
+			}
+		}
 		if len(ts.SSB) > 0 {
 			if t.ssb == nil {
 				t.ssb = NewSSB()

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/baseline/sheriff"
+	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/mem"
 	"repro/internal/workload"
@@ -109,5 +110,22 @@ func TestMachineSnapshotRoundTripSheriff(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRestoreRejectsUnalignedBufferedLine: buffered lines are written
+// back a whole line at a time, so a snapshot naming a line address with
+// offset bits set is malformed and must be refused, not panic later.
+func TestRestoreRejectsUnalignedBufferedLine(t *testing.T) {
+	b := isa.NewBuilder().At("r.c", 1)
+	b.Func("worker")
+	b.Halt()
+	prog := b.Build()
+	cfg := machine.Config{Cores: 2, PrivateMemory: true}
+	specs := []machine.ThreadSpec{{}, {}}
+	st := machine.New(prog, cfg, specs).CaptureState()
+	st.Threads[1].Overlay = []machine.SSBLine{{Line: mem.Line(mem.HeapBase + 4090), Mask: 1}}
+	if err := machine.New(prog, cfg, specs).RestoreState(st); err == nil {
+		t.Fatal("restore accepted an unaligned buffered line")
 	}
 }

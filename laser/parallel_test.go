@@ -90,9 +90,12 @@ func TestNativeEngineEquivalenceAllWorkloads(t *testing.T) {
 }
 
 // TestSheriffEngineEquivalenceAllWorkloads covers the private-memory
-// (Sheriff) execution model: overlay loads that miss must observe other
-// threads' commits in the exact serial order — the regression behind
-// the engine's full-hit-only segment rule.
+// (Sheriff) execution model. The engine runs a load inside a segment
+// only when it hits the thread's overlay in full or lies inside the
+// thread's own private ranges; every other overlay miss must observe
+// other threads' commits in the exact serial order. Sharing validation
+// checks each commit and atomic against the other threads' ranges, the
+// premise of the private-range case.
 func TestSheriffEngineEquivalenceAllWorkloads(t *testing.T) {
 	scale := 0.3
 	if testing.Short() {
